@@ -20,14 +20,6 @@ Used by CI to catch two regressions fast, without the full benchmark suite:
   ``REPRO_SMOKE_STRICT_PERF=1`` to make it fatal (e.g. for local regression
   hunting).
 
-With ``REPRO_WORKERS`` set above 1, the smoke additionally runs the
-multi-window, group-by, and equi-join plans on the partitioned parallel
-executor and asserts the sharded results are bit-identical to the
-``workers=1`` run (divergence is always fatal).  The sharded-vs-serial
-timing is reported with the machine's core count; it only warns — and even
-strict mode ignores it when the host has fewer cores than workers, since
-an oversubscribed pool cannot demonstrate a speedup.
-
 The serving smoke drives the synthetic query/delta mix through all three
 serving modes (cached views patched per delta, cached views rebuilt per
 delta, from-scratch plan per query) and asserts the answered relations are
@@ -291,9 +283,8 @@ def smoke_rangejoin(rows: int) -> int:
 
     Three gates, at N = max(rows, 512) so the asymptotics are visible:
 
-    * **bit-identity** — python / grid / sweep / auto results must agree
-      (and, with ``REPRO_WORKERS > 1``, the sharded sweep must match the
-      serial one) — divergence is fatal;
+    * **bit-identity** — python / grid / sweep / auto results must agree —
+      divergence is fatal;
     * **candidate-pair ceiling** — the sweep must enumerate asymptotically
       fewer candidate pairs than the grid's ``|L|·|R|`` (the workload's
       interval overlaps are ``O(N)``), so a regression that silently
@@ -302,7 +293,6 @@ def smoke_rangejoin(rows: int) -> int:
       unless ``REPRO_SMOKE_STRICT_PERF=1``).
     """
     from repro.columnar import operators as col_ops
-    from repro.columnar.parallel import resolve_workers
     from repro.workloads.pipeline import (
         rangejoin_inputs,
         run_rangejoin_columnar,
@@ -350,15 +340,6 @@ def smoke_rangejoin(rows: int) -> int:
         )
         failures += 1
 
-    workers = resolve_workers()
-    if workers > 1:
-        sharded = run_rangejoin_columnar(
-            columnar_left, columnar_right, method="sweep", workers=workers
-        )
-        if not _same_rows(sweep_result, sharded):
-            print(f"FAIL: rangejoin sharded (workers={workers}) diverges from workers=1")
-            failures += 1
-
     grid_ms = best_of(
         lambda: run_rangejoin_columnar(columnar_left, columnar_right, method="grid")
     )
@@ -375,8 +356,7 @@ def smoke_factjoin(rows: int) -> int:
     Three gates, at N = max(rows, 512) so the asymptotics are visible:
 
     * **bit-identity** — python / expanded grid / factorised results must
-      agree at ``.to_rows()`` (and, with ``REPRO_WORKERS > 1``, the sharded
-      factorised run must match the serial one) — divergence is fatal;
+      agree at ``.to_rows()`` — divergence is fatal;
     * **peak allocation** — the factorised path must materialise
       asymptotically fewer pair rows than the grid's ``|L'|·|R|`` scratch
       (``pair_rows_materialised`` counts every pair-length array the
@@ -387,7 +367,6 @@ def smoke_factjoin(rows: int) -> int:
       wall-clock gate here).
     """
     from repro.columnar.factorised import pair_rows_materialised, reset_pair_rows
-    from repro.columnar.parallel import resolve_workers
     from repro.core.expressions import attr, const
     from repro.core.operators import select
     from repro.workloads.pipeline import (
@@ -430,15 +409,6 @@ def smoke_factjoin(rows: int) -> int:
         )
         failures += 1
 
-    workers = resolve_workers()
-    if workers > 1:
-        sharded = run_factjoin_columnar(
-            columnar_left, columnar_right, v_threshold, w_threshold, workers=workers
-        )
-        if not _same_rows(fact_result, sharded):
-            print(f"FAIL: factjoin sharded (workers={workers}) diverges from workers=1")
-            failures += 1
-
     grid_ms = best_of(
         lambda: run_factjoin_columnar(
             columnar_left, columnar_right, v_threshold, w_threshold, method="grid"
@@ -450,96 +420,6 @@ def smoke_factjoin(rows: int) -> int:
         )
     )
     failures += _report_speedup("factjoin", size, grid_ms, fact_ms, baseline="grid")
-    return failures
-
-
-def _same_rows(serial, sharded) -> bool:
-    """Bit-identity including the first-occurrence row order."""
-    return serial.schema == sharded.schema and list(serial._rows.items()) == list(
-        sharded._rows.items()
-    )
-
-
-def smoke_parallel(rows: int) -> int:
-    """Sharded == unsharded on the plan workloads, at ``REPRO_WORKERS`` workers.
-
-    Divergence is always fatal.  The sharded-vs-serial timing only warns:
-    even under ``REPRO_SMOKE_STRICT_PERF=1`` a slowdown is ignored when the
-    host has fewer cores than workers (an oversubscribed pool cannot
-    demonstrate a speedup) — and at smoke sizes fork overhead dominates
-    anyway; ``tools/bench_trajectory.py`` measures the real large-N ratios.
-    """
-    from repro.columnar.parallel import fork_capable, resolve_workers
-    from repro.workloads.pipeline import (
-        equijoin_inputs,
-        multiwindow_inputs,
-        pipeline_inputs,
-        run_equijoin_columnar,
-        run_groupby_pipeline_columnar,
-        run_multiwindow_columnar,
-    )
-
-    workers = resolve_workers()
-    if workers <= 1:
-        print("parallel: workers=1 (set REPRO_WORKERS>1 to exercise the sharded executor)")
-        return 0
-    if not fork_capable():  # pragma: no cover - platform dependent
-        print("parallel: no fork support on this platform; executor runs serially")
-        return 0
-
-    failures = 0
-    cores = os.cpu_count() or 1
-
-    fact, dim, threshold = multiwindow_inputs(rows)
-    columnar_fact = ColumnarAURelation.from_relation(fact)
-    columnar_dim = ColumnarAURelation.from_relation(dim)
-    serial = run_multiwindow_columnar(columnar_fact, columnar_dim, threshold, workers=1)
-    sharded = run_multiwindow_columnar(columnar_fact, columnar_dim, threshold, workers=workers)
-    if not _same_rows(serial, sharded):
-        print(f"FAIL: multiwindow sharded (workers={workers}) diverges from workers=1")
-        failures += 1
-
-    g_serial = run_groupby_pipeline_columnar(columnar_fact, columnar_dim, threshold, workers=1)
-    g_sharded = run_groupby_pipeline_columnar(
-        columnar_fact, columnar_dim, threshold, workers=workers
-    )
-    if not _same_rows(g_serial, g_sharded):
-        print(f"FAIL: groupby pipeline sharded (workers={workers}) diverges from workers=1")
-        failures += 1
-
-    left, right = equijoin_inputs(rows)
-    columnar_left = ColumnarAURelation.from_relation(left)
-    columnar_right = ColumnarAURelation.from_relation(right)
-    j_serial = run_equijoin_columnar(columnar_left, columnar_right, workers=1)
-    j_sharded = run_equijoin_columnar(columnar_left, columnar_right, workers=workers)
-    if not _same_rows(j_serial, j_sharded):
-        print(f"FAIL: equijoin sharded (workers={workers}) diverges from workers=1")
-        failures += 1
-
-    serial_ms = best_of(
-        lambda: run_multiwindow_columnar(columnar_fact, columnar_dim, threshold, workers=1)
-    )
-    sharded_ms = best_of(
-        lambda: run_multiwindow_columnar(columnar_fact, columnar_dim, threshold, workers=workers)
-    )
-    speedup = serial_ms / sharded_ms if sharded_ms else float("inf")
-    print(
-        f"parallel rows={rows} workers={workers} cpus={cores}: "
-        f"serial={serial_ms:.2f}ms sharded={sharded_ms:.2f}ms speedup={speedup:.2f}x"
-    )
-    if speedup < 1.0:
-        if cores < workers:
-            print(
-                f"NOTE: {workers} workers on {cores} core(s) — oversubscribed, "
-                "speedup not expected at this size"
-            )
-        else:
-            print(
-                "WARN: sharded multiwindow slower than serial at the smoke size "
-                "(fork overhead dominates small inputs; see tools/bench_trajectory.py)"
-            )
-    if not failures:
-        print(f"OK: sharded execution bit-identical at workers={workers}")
     return failures
 
 
@@ -692,7 +572,6 @@ def main(rows: int = 200) -> int:
         + smoke_equijoin(rows)
         + smoke_rangejoin(rows)
         + smoke_factjoin(rows)
-        + smoke_parallel(rows)
         + smoke_serve(rows)
         + smoke_sql(rows)
     )

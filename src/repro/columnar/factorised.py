@@ -58,12 +58,10 @@ from repro.columnar.expressions import (
     range_columns,
     referenced_attributes,
 )
-from repro.columnar.parallel import pair_blocks, parallel_map
 from repro.columnar.relation import (
     AttributeColumn,
     ColumnarAURelation,
     as_columnar,
-    concat_relations,
 )
 from repro.core.booleans import RangeBool
 from repro.core.expressions import Expression
@@ -114,7 +112,7 @@ def pair_rows_materialised() -> int:
     """Total pair rows gathered into explicit arrays since the last reset.
 
     Every operation that materialises a row-aligned array over (candidate)
-    pairs adds its length here — expansion blocks, slim gathers, index
+    pairs adds its length here — expansions, slim gathers, index
     compositions, join candidates.  ``benchmarks/smoke_backends.py`` asserts
     this stays asymptotically below the eager grid's ``|L| · |R|`` pair
     count, so a regression that silently re-expands mid-chain fails CI.
@@ -275,15 +273,13 @@ class FactorisedAURelation:
 
     # -- materialisation ------------------------------------------------------
 
-    def expand(self, *, workers: int = 1) -> ColumnarAURelation:
+    def expand(self) -> ColumnarAURelation:
         """The expanded columnar relation — the single materialisation point.
 
         Bit-identical to running the eager pipeline: columns gather in schema
         order through the product enumeration, multiplicities multiply
         pointwise.  A trivial wrapper (one simple group over the full schema)
-        returns its fragment with zero copies.  With ``workers > 1`` the pair
-        range splits into contiguous blocks expanded on the forked worker
-        pool; block-order concatenation reproduces the serial row order.
+        returns its fragment with zero copies.
         """
         if len(self.groups) == 1 and self.groups[0].is_simple:
             fragment = self.groups[0].fragments[0]
@@ -291,22 +287,11 @@ class FactorisedAURelation:
                 return fragment
             return fragment.restrict(list(self.schema))
         n = len(self)
-        blocks = pair_blocks(n, workers)
-        if len(blocks) > 1:
-            return concat_relations(
-                parallel_map(
-                    lambda block: self._expand_block(*block), blocks, workers=workers
-                )
-            )
-        return self._expand_block(0, n)
-
-    def _expand_block(self, start: int, stop: int) -> ColumnarAURelation:
-        n = stop - start
         _record(n * (len(self.schema.attributes) + 1))
         if n == 0:
             group_rows = [np.empty(0, dtype=np.int64) for _ in self.groups]
         else:
-            pair = np.arange(start, stop, dtype=np.int64)
+            pair = np.arange(n, dtype=np.int64)
             strides = self._strides()
             group_rows = []
             for g, group in enumerate(self.groups):
@@ -335,12 +320,9 @@ class FactorisedAURelation:
         assert mult_lb is not None and mult_sg is not None and mult_ub is not None
         return ColumnarAURelation(self.schema, columns, mult_lb, mult_sg, mult_ub)
 
-    def to_relation(self, *, workers: int = 1) -> AURelation:
+    def to_relation(self) -> AURelation:
         """Row-major boundary conversion (expand, then merge zero/equal rows)."""
-        expanded = self.expand(workers=workers)
-        if workers > 1:
-            return expanded.to_relation(workers=workers)
-        return expanded.to_relation()
+        return self.expand().to_relation()
 
     # -- gathering ------------------------------------------------------------
 
@@ -641,7 +623,6 @@ def fact_join(
     *,
     on: Sequence[str] | None = None,
     method: str = "auto",
-    workers: int = 1,
 ) -> "FactorisedAURelation | ColumnarAURelation":
     """Equi-, sweep-, or band-join as matched-pair index vectors over the sides.
 
@@ -686,7 +667,6 @@ def fact_join(
             return _fact_join_pairs(
                 left, right, predicate, keys, left_keys, right_keys,
                 candidates[0], candidates[1],
-                workers=workers,
             )
         if method == "searchsorted":
             raise OperatorError(
@@ -711,9 +691,7 @@ def fact_join(
                 high,
             )
         if pairs is not None:
-            return _fact_join_pairs(
-                left, right, predicate, [], [], [], *pairs, workers=workers
-            )
+            return _fact_join_pairs(left, right, predicate, [], [], [], *pairs)
         if method == "band":
             raise OperatorError(
                 "the band join requires an AND-tree predicate comparing a left "
@@ -721,9 +699,7 @@ def fact_join(
                 "NaN-free, exactly promotable numeric columns; use "
                 "method='grid' (or 'auto') for these inputs"
             )
-    return ops.join(
-        left.expand(), right.expand(), predicate, on=on, method=method, workers=workers
-    )
+    return ops.join(left.expand(), right.expand(), predicate, on=on, method=method)
 
 
 def _fact_join_pairs(
@@ -735,8 +711,6 @@ def _fact_join_pairs(
     right_keys: list[AttributeColumn],
     left_rows: np.ndarray,
     right_rows: np.ndarray,
-    *,
-    workers: int = 1,
 ) -> "FactorisedAURelation | ColumnarAURelation":
     schema, right_renamed = _disambiguated(left, right)
     n = len(left_rows)
@@ -782,21 +756,7 @@ def _fact_join_pairs(
         slim = ColumnarAURelation(
             Schema(tuple(names)), columns, ones, ones, ones
         )
-        blocks = pair_blocks(n, workers) or [(0, n)]
-        if len(blocks) > 1:
-
-            def block_masks(block: tuple[int, int]) -> tuple[np.ndarray, ...]:
-                start, stop = block
-                return predicate_masks(
-                    slim.take(np.arange(start, stop, dtype=np.int64)), predicate
-                )
-
-            parts = parallel_map(block_masks, blocks, workers=workers)
-            p_cert = np.concatenate([part[0] for part in parts])
-            p_sg = np.concatenate([part[1] for part in parts])
-            p_poss = np.concatenate([part[2] for part in parts])
-        else:
-            p_cert, p_sg, p_poss = predicate_masks(slim, predicate)
+        p_cert, p_sg, p_poss = predicate_masks(slim, predicate)
         certain &= p_cert
         sg &= p_sg
         possible &= p_poss
@@ -831,8 +791,6 @@ def fact_groupby_aggregate(
     fact: FactorisedAURelation,
     group_by: Sequence[str],
     aggregates: Sequence[tuple[str, str | None, str]],
-    *,
-    workers: int = 1,
 ) -> ColumnarAURelation:
     """Grouped aggregation over a slim gather of only the touched columns.
 
@@ -855,8 +813,8 @@ def fact_groupby_aggregate(
     if any(
         ops._components_carry_nan(slim.column(name)) for name in group_by
     ):
-        return ops.groupby_aggregate(fact.expand(), group_by, aggregates, workers=workers)
-    return ops.groupby_aggregate(slim, group_by, aggregates, workers=workers)
+        return ops.groupby_aggregate(fact.expand(), group_by, aggregates)
+    return ops.groupby_aggregate(slim, group_by, aggregates)
 
 
 def _fresh_name(schema: Schema, *avoid: str) -> str:
@@ -1009,7 +967,6 @@ def fact_sort(
     k: int | None = None,
     position_attribute: str = "pos",
     descending: bool = False,
-    workers: int = 1,
 ) -> FactorisedAURelation:
     """Uncertain sort over a slim gather of only the order-by columns.
 
@@ -1034,7 +991,6 @@ def fact_sort(
                 k=k,
                 position_attribute=position_attribute,
                 descending=descending,
-                workers=workers,
             )
         )
     slim, rowid, tie = _ranked_slim(fact, order_by, (), position_attribute)
@@ -1044,7 +1000,6 @@ def fact_sort(
         k=k,
         position_attribute=position_attribute,
         descending=descending,
-        workers=workers,
         strict_tiebreak=tie,
     )
     source_rows = ranked.column(rowid).sg.astype(np.int64, copy=False)
@@ -1058,7 +1013,7 @@ def fact_sort(
 
 
 def fact_window(
-    fact: FactorisedAURelation, spec: WindowSpec, *, workers: int = 1
+    fact: FactorisedAURelation, spec: WindowSpec
 ) -> "FactorisedAURelation | ColumnarAURelation":
     """Windowed aggregation over a slim gather of the referenced columns.
 
@@ -1080,17 +1035,15 @@ def fact_window(
             f"output attribute {spec.output!r} already exists in the schema"
         )
     if _any_fragment_nan(fact):
-        return window_stage(fact.expand(), spec, workers=workers)
+        return window_stage(fact.expand(), spec)
     extras = list(spec.partition_by) + (
         [spec.attribute] if spec.attribute not in (None, "*") else []
     )
     slim, rowid, tie = _ranked_slim(fact, spec.order_by, extras, spec.output)
     kind, sweep_spec, groups = _classify(slim, spec)
     if kind != "sweep":
-        return window_stage(fact.expand(), spec, workers=workers)
-    result = _partitioned_sweep(
-        slim, sweep_spec, groups, workers=workers, strict_tiebreak=tie
-    )
+        return window_stage(fact.expand(), spec)
+    result = _partitioned_sweep(slim, sweep_spec, groups, strict_tiebreak=tie)
     source_rows = result.column(rowid).sg.astype(np.int64, copy=False)
     return _reattached(
         fact,

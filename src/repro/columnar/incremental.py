@@ -73,7 +73,7 @@ from repro.core.multiplicity import Multiplicity
 from repro.core.relation import AURelation
 from repro.errors import OperatorError
 
-__all__ = ["IncrementalView", "merge_delta"]
+__all__ = ["IncrementalView", "as_delta", "merge_delta"]
 
 #: Row-local plan stages the view maintains by running them on delta rows only.
 _PREFIX_STAGES = frozenset({"select", "extend", "rename"})
@@ -151,7 +151,14 @@ def _subtract(stored: Multiplicity, mult: Multiplicity, values) -> Multiplicity 
     return Multiplicity(lb, sg, ub)
 
 
-def _as_delta(delta, schema, label: str) -> AURelation | None:
+def as_delta(delta, schema, label: str) -> AURelation | None:
+    """Validate one side of a delta against ``schema``; ``None`` when empty.
+
+    A columnar delta converts to row-major; anything that is not a relation,
+    or whose schema differs from ``schema`` (arity *or* column order), raises
+    :class:`~repro.errors.OperatorError`.  Views and the serving layer both
+    run this before :func:`merge_delta` touches anything.
+    """
     if delta is None:
         return None
     if isinstance(delta, ColumnarAURelation):
@@ -544,32 +551,26 @@ class IncrementalView:
 
     ``incremental=False`` forces the full-recompute path on every delta —
     the oracle the differential property suite pins the patch rules against.
-    ``workers`` selects the parallel executor for recompute passes (the
-    patch path itself is serial numpy; both are bit-identical to serial).
 
     ``apply_delta`` is atomic: it either commits the delta everywhere (base,
     maintained state, result) or raises and leaves the view exactly as it
-    was — a worker crash mid-recompute cannot leave a half-applied view.
+    was — a kernel exception mid-recompute cannot leave a half-applied view.
     ``last_apply`` records what the most recent call did: ``"rebuilt"``
     (initial build), ``"patched"``, ``"recomputed"`` (fallback), or
     ``"noop"`` (empty delta).
     """
 
-    __slots__ = ("_spec", "_workers", "_incremental", "_split", "_base",
-                 "_result", "_state", "last_apply")
+    __slots__ = ("_spec", "_incremental", "_split", "_base", "_result",
+                 "_state", "last_apply")
 
     def __init__(
         self,
         base: AURelation,
         spec: PlanSpec,
         *,
-        workers: int | None = None,
         incremental: bool = True,
     ):
-        from repro.columnar.parallel import resolve_workers
-
         self._spec = spec
-        self._workers = resolve_workers(workers)
         self._incremental = bool(incremental)
         self._split = _split_spec(spec) if self._incremental else None
         self._base = base.copy()
@@ -581,10 +582,6 @@ class IncrementalView:
     @property
     def spec(self) -> PlanSpec:
         return self._spec
-
-    @property
-    def workers(self) -> int:
-        return self._workers
 
     def __len__(self) -> int:
         return len(self._result)
@@ -619,8 +616,8 @@ class IncrementalView:
         without changing anything.
         """
         schema = self._base.schema
-        inserts = _as_delta(inserts, schema, "inserts")
-        retracts = _as_delta(retracts, schema, "retracts")
+        inserts = as_delta(inserts, schema, "inserts")
+        retracts = as_delta(retracts, schema, "retracts")
         if inserts is None and retracts is None:
             self.last_apply = "noop"
             return
@@ -641,7 +638,7 @@ class IncrementalView:
     # -- internals -----------------------------------------------------------
 
     def _recompute(self, base: AURelation):
-        result = self._spec.apply(ColumnarPlan(base, workers=self._workers)).to_rows()
+        result = self._spec.apply(ColumnarPlan(base)).to_rows()
         state = None
         if self._split is not None:
             state = self._build_state(base)

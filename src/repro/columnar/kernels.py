@@ -317,7 +317,6 @@ def sort_position_bounds_ranked(
     order_by: Sequence[str],
     *,
     descending: bool = False,
-    workers: int = 1,
     strict_tiebreak: str | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """:func:`sort_position_bounds` plus the latest-key ranks of every row.
@@ -330,23 +329,14 @@ def sort_position_bounds_ranked(
     the next stage (downstream ``<ᵗᵒᵗᵃˡ_O`` sequence-number tiebreakers
     depend on it).
 
-    With ``workers > 1`` the two precedes-counts evaluate as per-shard
-    emission schedules that merge by summation (see
-    :func:`_sharded_precedes_counts`); the rank encoding and selected-guess
-    pass stay serial.  ``strict_tiebreak`` passes through to
-    :func:`selected_guess_positions`.
+    ``strict_tiebreak`` passes through to :func:`selected_guess_positions`.
     """
     earliest, sg_matrix, latest = order_code_matrices(
         relation, order_by, descending=descending
     )
     earliest_rank, latest_rank = lex_rank_pairs(earliest, latest)
-    if workers > 1 and len(relation) > 1:
-        lower, upper = _sharded_precedes_counts(
-            earliest_rank, latest_rank, relation.mult_lb, relation.mult_ub, workers
-        )
-    else:
-        lower = certainly_precedes_counts(earliest_rank, latest_rank, relation.mult_lb)
-        upper = possibly_precedes_counts(earliest_rank, latest_rank, relation.mult_ub)
+    lower = certainly_precedes_counts(earliest_rank, latest_rank, relation.mult_lb)
+    upper = possibly_precedes_counts(earliest_rank, latest_rank, relation.mult_ub)
     upper -= relation.mult_ub
     sg = selected_guess_positions(
         relation, order_by, sg_matrix, strict_tiebreak=strict_tiebreak
@@ -418,46 +408,6 @@ def permutation_delete(perm: np.ndarray, keep: np.ndarray) -> np.ndarray:
     new_index = np.cumsum(keep) - 1
     kept = perm[keep[perm]]
     return new_index[kept]
-
-
-def _sharded_precedes_counts(
-    earliest_rank: np.ndarray,
-    latest_rank: np.ndarray,
-    mult_lb: np.ndarray,
-    mult_ub: np.ndarray,
-    workers: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both precedes-counts, sharded over *contributor* rows.
-
-    Every row shard computes the weight its own rows contribute to each
-    tuple's certain / possible predecessor counts — a per-shard emission
-    schedule over the full query set — and the partials merge by summation.
-    Weights are exact ``int64`` counts, so the shard-local prefix sums add up
-    to the global prefix sums regardless of the shard layout: bit-identical
-    to the unsharded kernels.
-    """
-    from repro.columnar.parallel import morsel_count, parallel_map, shard_ranges
-
-    shards = shard_ranges(len(earliest_rank), morsel_count(workers))
-
-    def shard_counts(block: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-        start, stop = block
-        return (
-            certainly_precedes_counts(
-                earliest_rank, latest_rank[start:stop], mult_lb[start:stop]
-            ),
-            possibly_precedes_counts(
-                earliest_rank[start:stop], latest_rank, mult_ub[start:stop]
-            ),
-        )
-
-    partials = parallel_map(shard_counts, shards, workers=workers)
-    lower = np.zeros(len(earliest_rank), dtype=np.int64)
-    upper = np.zeros(len(earliest_rank), dtype=np.int64)
-    for part_lower, part_upper in partials:
-        lower += part_lower
-        upper += part_upper
-    return lower, upper
 
 
 # ---------------------------------------------------------------------------

@@ -37,13 +37,11 @@ import numpy as np
 
 from repro.columnar.expressions import predicate_masks, range_columns
 from repro.columnar.kernels import lexsort_stable
-from repro.columnar.parallel import morsel_count, parallel_map, shard_ranges
 from repro.columnar.relation import (
     FLOAT64_EXACT_MAX,
     AttributeColumn,
     ColumnarAURelation,
     column_array,
-    concat_relations,
     profile_components,
 )
 from repro.core.booleans import RangeBool
@@ -294,7 +292,6 @@ def join(
     *,
     on: Sequence[str] | None = None,
     method: str = "auto",
-    workers: int = 1,
 ) -> ColumnarAURelation:
     """Theta or equi-join over columnar AU-relations.
 
@@ -374,9 +371,7 @@ def join(
         )
         if candidates is not None:
             left_rows, right_rows, _kernel = candidates
-            return _join_pairs(
-                left, right, predicate, list(on), left_rows, right_rows, workers=workers
-            )
+            return _join_pairs(left, right, predicate, list(on), left_rows, right_rows)
         if method == "searchsorted":
             raise OperatorError(
                 "searchsorted equi-join requires a certain (lb == sg == ub) "
@@ -391,7 +386,7 @@ def join(
     if method in ("auto", "band") and not on and predicate is not None:
         band = _band_join_pairs(left, right, predicate)
         if band is not None:
-            return _join_pairs(left, right, predicate, [], *band, workers=workers)
+            return _join_pairs(left, right, predicate, [], *band)
         if method == "band":
             raise OperatorError(
                 "the band join requires an AND-tree predicate comparing a left "
@@ -399,26 +394,6 @@ def join(
                 "NaN-free, exactly promotable numeric columns; use "
                 "method='grid' (or 'auto') for these inputs"
             )
-
-    if workers > 1 and len(left) > 1 and len(right):
-        # Grid path, sharded: split the left (outer) rows into contiguous
-        # blocks and run the serial grid kernel per block.  The pair grid
-        # enumerates left-outer / right-inner, so concatenating block results
-        # in block order reproduces the unsharded row order exactly.
-        shards = shard_ranges(len(left), morsel_count(workers))
-        if len(shards) > 1:
-
-            def grid_shard(block: tuple[int, int]) -> ColumnarAURelation:
-                start, stop = block
-                return join(
-                    left.take(np.arange(start, stop, dtype=np.int64)),
-                    right,
-                    predicate,
-                    on=on,
-                    method="grid",
-                )
-
-            return concat_relations(parallel_map(grid_shard, shards, workers=workers))
 
     product = cross(left, right)
     n = len(product)
@@ -815,8 +790,6 @@ def _join_pairs(
     on: list[str],
     left_rows: np.ndarray,
     right_rows: np.ndarray,
-    *,
-    workers: int = 1,
 ) -> ColumnarAURelation:
     """Assemble the join result from explicit match-candidate pairs.
 
@@ -824,29 +797,7 @@ def _join_pairs(
     enumeration only skips pairs whose first-key ranges cannot overlap, and
     those carry a zero possible multiplicity on the grid path too (they are
     masked out of its result).
-
-    With ``workers > 1`` the candidate-pair list is cut into contiguous
-    blocks (the pairs arrive in left-outer / right-inner order, so blocks
-    are key ranges of the outer side) that assemble concurrently; the block
-    results concatenate back in order, bit-identical to the serial pass.
     """
-    if workers > 1 and len(left_rows) > 1:
-        blocks = shard_ranges(len(left_rows), morsel_count(workers))
-        if len(blocks) > 1:
-
-            def pair_block(block: tuple[int, int]) -> ColumnarAURelation:
-                start, stop = block
-                return _join_pairs(
-                    left,
-                    right,
-                    predicate,
-                    on,
-                    left_rows[start:stop],
-                    right_rows[start:stop],
-                )
-
-            return concat_relations(parallel_map(pair_block, blocks, workers=workers))
-
     schema = left.schema.concat(right.schema, disambiguate=True)
     columns = [
         AttributeColumn(name, column.lb[left_rows], column.sg[left_rows], column.ub[left_rows])
@@ -987,8 +938,6 @@ def groupby_aggregate(
     relation: ColumnarAURelation,
     group_by: Sequence[str],
     aggregates: Sequence[tuple[str, str | None, str]],
-    *,
-    workers: int = 1,
 ) -> ColumnarAURelation:
     """Vectorized group-by aggregation with range-bounded results.
 
@@ -1017,11 +966,6 @@ def groupby_aggregate(
         # Rows that possibly never exist carry the semiring zero; the
         # row-major layout cannot hold them either (AURelation.add skips it).
         relation = relation.mask(relation.mult_ub > 0)
-
-    if workers > 1 and group_by and len(relation) > 1:
-        sharded = _sharded_groupby(relation, list(group_by), list(aggregates), workers)
-        if sharded is not None:
-            return sharded
 
     group_columns = [relation.column(name) for name in group_by]
     if any(_components_carry_nan(column) for column in group_columns):
@@ -1121,43 +1065,6 @@ def groupby_aggregate(
     mult_sg = np.maximum(mult_lb, sg_any.astype(np.int64))
     mult_ub = np.ones(groups, dtype=np.int64)
     return ColumnarAURelation(out_schema, out_columns, mult_lb, mult_sg, mult_ub)
-
-
-def _sharded_groupby(
-    relation: ColumnarAURelation,
-    group_by: list[str],
-    aggregates: list[tuple[str, str | None, str]],
-    workers: int,
-) -> ColumnarAURelation | None:
-    """Group-sharded aggregation, or ``None`` when sharding cannot apply.
-
-    When every group-by key is *certain* (``lb == ub`` on all rows), each row
-    belongs to exactly one group — group membership, hulls, aggregates, and
-    multiplicities all depend only on that group's own rows, so contiguous
-    blocks of the first-occurrence group order aggregate independently and
-    concatenate back bit-identically.  Uncertain keys (including NaN, which
-    fails the certainty check) return ``None``: interval containment couples
-    every row to every group, so the unsharded kernel handles them.
-    """
-    from repro.columnar.window import _certain_partition_groups
-
-    groups = _certain_partition_groups(relation, tuple(group_by))
-    if groups is None or len(groups) <= 1:
-        return None
-    shards = shard_ranges(len(groups), morsel_count(workers))
-    if len(shards) <= 1:
-        return None
-
-    def group_shard(block: tuple[int, int]) -> ColumnarAURelation:
-        start, stop = block
-        rows = np.sort(
-            np.concatenate(
-                [np.asarray(groups[g], dtype=np.int64) for g in range(start, stop)]
-            )
-        )
-        return groupby_aggregate(relation.take(rows), group_by, aggregates)
-
-    return concat_relations(parallel_map(group_shard, shards, workers=workers))
 
 
 def _components_carry_nan(column: AttributeColumn) -> bool:

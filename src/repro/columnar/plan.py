@@ -57,10 +57,33 @@ from repro.core.expressions import Expression
 from repro.core.ranges import RangeValue
 from repro.core.relation import AURelation
 from repro.core.tuples import AUTuple
-from repro.errors import PlanError
+from repro.errors import OperatorError, PlanError
 from repro.window.spec import WindowSpec
 
 __all__ = ["ColumnarPlan", "PlanSpec"]
+
+
+def require_serial(workers: object) -> None:
+    """Reject any ``workers`` value other than ``1``.
+
+    The plan, SQL and serving entry points keep the keyword so callers that
+    pass ``workers=1`` keep working; every stage runs in the calling
+    process, so no other value has a meaning.
+    """
+    if type(workers) is not int or workers != 1:
+        raise PlanError(
+            f"workers={workers!r} is not supported: the parallel executor was "
+            "removed and every plan runs serially; pass workers=1 or omit it"
+        )
+
+
+def _validate_k(k: object) -> int:
+    """``k`` for a top-k stage: a non-negative ``int`` (``bool`` rejected)."""
+    if type(k) is bool or not isinstance(k, int):
+        raise OperatorError(f"top-k k must be a non-negative int, got {k!r}")
+    if k < 0:
+        raise OperatorError("k must be non-negative")
+    return k
 
 
 class ColumnarPlan:
@@ -71,51 +94,26 @@ class ColumnarPlan:
     :meth:`columnar` (no conversion) and :meth:`to_rows` (the row-major
     plan boundary).
 
-    ``workers`` selects the partitioned parallel executor
-    (:mod:`repro.columnar.parallel`): the sharded stages — sort / top-k,
-    window, join, group-by, and the :meth:`to_rows` boundary — split their
-    work across that many forked worker processes.  ``None`` (the default)
-    reads the ``REPRO_WORKERS`` environment variable; ``workers=1`` takes
-    the exact single-shard code path of every kernel, and any sharded run
-    is bit-identical to it (pinned by the differential property suite).
-    The worker count is inherited by every chained stage.
+    Every stage runs in the calling process.  ``workers`` is accepted for
+    compatibility only: ``1`` is the sole valid value, and anything else
+    raises :class:`~repro.errors.PlanError`.
     """
 
-    __slots__ = ("_relation", "_workers")
+    __slots__ = ("_relation",)
 
     def __init__(
         self,
         relation: "AURelation | ColumnarAURelation | FactorisedAURelation | ColumnarPlan",
         *,
-        workers: int | None = None,
+        workers: int = 1,
     ):
-        from repro.columnar.parallel import resolve_workers
-
+        require_serial(workers)
         if isinstance(relation, ColumnarPlan):
             self._relation = relation._relation
-            self._workers = (
-                relation._workers if workers is None else resolve_workers(workers)
-            )
         elif isinstance(relation, FactorisedAURelation):
             self._relation = relation
-            self._workers = resolve_workers(workers)
         else:
             self._relation = as_columnar(relation)
-            self._workers = resolve_workers(workers)
-
-    @property
-    def workers(self) -> int:
-        """The resolved worker count every sharded stage of this plan uses."""
-        return self._workers
-
-    def _chain(
-        self, relation: "ColumnarAURelation | FactorisedAURelation"
-    ) -> "ColumnarPlan":
-        """A new plan over ``relation`` carrying this plan's worker count."""
-        plan = ColumnarPlan.__new__(ColumnarPlan)
-        plan._relation = relation
-        plan._workers = self._workers
-        return plan
 
     def _expanded(self) -> ColumnarAURelation:
         """The current intermediate as an expanded columnar relation."""
@@ -150,23 +148,11 @@ class ColumnarPlan:
         """
         relation = self._relation
         if isinstance(relation, FactorisedAURelation):
-            relation = relation.expand(
-                workers=self._workers if self._workers > 1 else 1
-            )
-        # Serial plans call to_relation() exactly as before the parallel
-        # executor existed (the no-argument form is part of the boundary's
-        # observable contract — conversion spies in the test suite rely on it).
-        if self._workers > 1:
-            result = relation.to_relation(workers=self._workers)
-        else:
-            result = relation.to_relation()
+            relation = relation.expand()
+        result = relation.to_relation()
         boundary = _MaterialisedPlanResult(result.schema)
         boundary._rows = result._rows
         return boundary
-
-    def relation(self) -> AURelation:
-        """Alias of :meth:`to_rows` (kept for callers of the old boundary name)."""
-        return self.to_rows()
 
     def __len__(self) -> int:
         return len(self._relation)
@@ -177,13 +163,13 @@ class ColumnarPlan:
         self, predicate: Expression | Callable[[AUTuple], RangeBool]
     ) -> "ColumnarPlan":
         if isinstance(self._relation, FactorisedAURelation):
-            return self._chain(fx.fact_select(self._relation, predicate))
-        return self._chain(ops.select(self._relation, predicate))
+            return ColumnarPlan(fx.fact_select(self._relation, predicate))
+        return ColumnarPlan(ops.select(self._relation, predicate))
 
     def project(self, attributes: Sequence[str]) -> "ColumnarPlan":
         if isinstance(self._relation, FactorisedAURelation):
-            return self._chain(fx.fact_project(self._relation, attributes))
-        return self._chain(ops.project(self._relation, attributes))
+            return ColumnarPlan(fx.fact_project(self._relation, attributes))
+        return ColumnarPlan(ops.project(self._relation, attributes))
 
     def narrow(self, attributes: Sequence[str]) -> "ColumnarPlan":
         """Drop columns *without* merging rows (the SQL pruner's projection).
@@ -198,25 +184,25 @@ class ColumnarPlan:
         """
         if isinstance(self._relation, FactorisedAURelation):
             return self
-        return self._chain(self._relation.restrict(list(attributes)))
+        return ColumnarPlan(self._relation.restrict(list(attributes)))
 
     def extend(
         self, name: str, expression: Expression | Callable[[AUTuple], RangeValue]
     ) -> "ColumnarPlan":
         if isinstance(self._relation, FactorisedAURelation):
-            return self._chain(fx.fact_extend(self._relation, name, expression))
-        return self._chain(ops.extend(self._relation, name, expression))
+            return ColumnarPlan(fx.fact_extend(self._relation, name, expression))
+        return ColumnarPlan(ops.extend(self._relation, name, expression))
 
     def rename(self, mapping: Mapping[str, str]) -> "ColumnarPlan":
         if isinstance(self._relation, FactorisedAURelation):
-            return self._chain(fx.fact_rename(self._relation, mapping))
-        return self._chain(ops.rename(self._relation, mapping))
+            return ColumnarPlan(fx.fact_rename(self._relation, mapping))
+        return ColumnarPlan(ops.rename(self._relation, mapping))
 
     def distinct(self) -> "ColumnarPlan":
-        return self._chain(ops.distinct(self._expanded()))
+        return ColumnarPlan(ops.distinct(self._expanded()))
 
     def union(self, other: "ColumnarPlan | AURelation | ColumnarAURelation") -> "ColumnarPlan":
-        return self._chain(ops.union(self._expanded(), _unwrap(other)))
+        return ColumnarPlan(ops.union(self._expanded(), _unwrap(other)))
 
     def cross(self, other: "ColumnarPlan | AURelation | ColumnarAURelation") -> "ColumnarPlan":
         """Cross product as a factorised relation — no pair materialisation.
@@ -225,7 +211,7 @@ class ColumnarPlan:
         inputs' components; it expands only at :meth:`to_rows` (or when a
         later stage genuinely spans both sides).
         """
-        return self._chain(
+        return ColumnarPlan(
             fx.fact_cross(as_factorised(self._relation), _unwrap_factorised(other))
         )
 
@@ -254,14 +240,13 @@ class ColumnarPlan:
         (object-dtype keys, ``"grid"``) fall back to the eager expanded
         kernel automatically.
         """
-        return self._chain(
+        return ColumnarPlan(
             fx.fact_join(
                 as_factorised(self._relation),
                 _unwrap_factorised(other),
                 predicate,
                 on=on,
                 method=method,
-                workers=self._workers,
             )
         )
 
@@ -276,16 +261,10 @@ class ColumnarPlan:
         :func:`repro.core.operators.groupby_aggregate`.
         """
         if isinstance(self._relation, FactorisedAURelation):
-            return self._chain(
-                fx.fact_groupby_aggregate(
-                    self._relation, group_by, aggregates, workers=self._workers
-                )
+            return ColumnarPlan(
+                fx.fact_groupby_aggregate(self._relation, group_by, aggregates)
             )
-        return self._chain(
-            ops.groupby_aggregate(
-                self._relation, group_by, aggregates, workers=self._workers
-            )
-        )
+        return ColumnarPlan(ops.groupby_aggregate(self._relation, group_by, aggregates))
 
     # -- ranking / window stages (columnar in, columnar out) ----------------
 
@@ -305,22 +284,20 @@ class ColumnarPlan:
         from repro.columnar.sort import sort_stage
 
         if isinstance(self._relation, FactorisedAURelation):
-            return self._chain(
+            return ColumnarPlan(
                 fx.fact_sort(
                     self._relation,
                     order_by,
                     position_attribute=position_attribute,
                     descending=descending,
-                    workers=self._workers,
                 )
             )
-        return self._chain(
+        return ColumnarPlan(
             sort_stage(
                 self._relation,
                 order_by,
                 position_attribute=position_attribute,
                 descending=descending,
-                workers=self._workers,
             )
         )
 
@@ -335,10 +312,8 @@ class ColumnarPlan:
         """Uncertain top-k over the columnar kernels (stays columnar)."""
         from repro.columnar.sort import sort_stage
         from repro.core.expressions import attr
-        from repro.errors import OperatorError
 
-        if k < 0:
-            raise OperatorError("k must be non-negative")
+        k = _validate_k(k)
         if isinstance(self._relation, FactorisedAURelation):
             ranked_fact = fx.fact_sort(
                 self._relation,
@@ -346,9 +321,8 @@ class ColumnarPlan:
                 k=k,
                 position_attribute=position_attribute,
                 descending=descending,
-                workers=self._workers,
             )
-            return self._chain(
+            return ColumnarPlan(
                 fx.fact_select(ranked_fact, attr(position_attribute).lt(k))
             )
         ranked = sort_stage(
@@ -357,9 +331,8 @@ class ColumnarPlan:
             k=k,
             position_attribute=position_attribute,
             descending=descending,
-            workers=self._workers,
         )
-        return self._chain(ops.select(ranked, attr(position_attribute).lt(k)))
+        return ColumnarPlan(ops.select(ranked, attr(position_attribute).lt(k)))
 
     def window(self, spec: WindowSpec) -> "ColumnarPlan":
         """Uncertain windowed aggregation over the columnar kernels (stays columnar).
@@ -371,10 +344,8 @@ class ColumnarPlan:
         from repro.columnar.window import window_stage
 
         if isinstance(self._relation, FactorisedAURelation):
-            return self._chain(
-                fx.fact_window(self._relation, spec, workers=self._workers)
-            )
-        return self._chain(window_stage(self._relation, spec, workers=self._workers))
+            return ColumnarPlan(fx.fact_window(self._relation, spec))
+        return ColumnarPlan(window_stage(self._relation, spec))
 
 
 #: Stage names guarded on materialised plan results (kept in sync with the
@@ -509,7 +480,7 @@ class PlanSpec:
     ) -> "PlanSpec":
         return self._with(
             "topk",
-            (tuple(order_by), int(k)),
+            (tuple(order_by), _validate_k(k)),
             {"position_attribute": position_attribute, "descending": descending},
         )
 

@@ -195,57 +195,14 @@ class ColumnarAURelation:
             _values=values,
         )
 
-    def to_relation(self, *, workers: int = 1) -> AURelation:
-        """Convert back to the row-major layout (tuples with equal hypercubes merge).
-
-        With ``workers > 1`` the conversion shards by output-row blocks:
-        rows with the semiring-zero annotation are dropped and equal
-        hypercubes are merged columnar-side first (both exactly as
-        :meth:`AURelation.add` would), so the surviving rows are distinct
-        by construction and the forked workers can build their blocks'
-        range-value tuples independently; the parent fills the row
-        dictionary in block order.  Bit-identical to the serial loop —
-        pinned by the sharded-vs-unsharded differential property.
-        """
-        if workers > 1 and len(self) > 1:
-            return self._to_relation_sharded(workers)
+    def to_relation(self) -> AURelation:
+        """Convert back to the row-major layout (tuples with equal hypercubes merge)."""
         out = AURelation(self.schema)
         for i in range(len(self)):
             out.add(
                 AUTuple(self.schema, self.row_values(i)),
                 Multiplicity(int(self.mult_lb[i]), int(self.mult_sg[i]), int(self.mult_ub[i])),
             )
-        return out
-
-    def _to_relation_sharded(self, workers: int) -> AURelation:
-        from repro.columnar.operators import merge_equal_rows
-        from repro.columnar.parallel import morsel_count, parallel_map, shard_ranges
-
-        relation = self
-        zero = (relation.mult_lb == 0) & (relation.mult_sg == 0) & (relation.mult_ub == 0)
-        if bool(zero.any()):
-            # AURelation.add skips exactly-zero annotations; replicate before
-            # merging so a zero row can neither survive nor absorb a merge.
-            relation = relation.mask(~zero)
-        merged = merge_equal_rows(relation)
-        mult_lb, mult_sg, mult_ub = merged.mult_lb, merged.mult_sg, merged.mult_ub
-
-        def build_block(block: tuple[int, int]) -> list:
-            start, stop = block
-            return [
-                (
-                    merged.row_values(i),
-                    Multiplicity(int(mult_lb[i]), int(mult_sg[i]), int(mult_ub[i])),
-                )
-                for i in range(start, stop)
-            ]
-
-        blocks = shard_ranges(len(merged), morsel_count(workers))
-        out = AURelation(merged.schema)
-        rows = out._rows
-        for part in parallel_map(build_block, blocks, workers=workers):
-            for values, mult in part:
-                rows[values] = mult
         return out
 
     def take(self, indices: Sequence[int] | np.ndarray) -> "ColumnarAURelation":
@@ -456,13 +413,13 @@ def _concat_components(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 
 def concat_relations(partials: Sequence["ColumnarAURelation"]) -> "ColumnarAURelation":
-    """Concatenate shard results with one array copy per component.
+    """Concatenate partial results with one array copy per component.
 
-    The stitch-up of every sharded stage (per-partition window sweeps,
-    equi-join pair blocks, group-sharded aggregation): each bound component
-    concatenates once across all partials — a pairwise ``concat`` loop
-    would re-copy the accumulated arrays per shard (quadratic in the shard
-    count) — and the row-value caches merge when every partial carries one.
+    The stitch-up of the per-partition window sweeps and the incremental
+    layer's appended rows: each bound component concatenates once across
+    all partials — a pairwise ``concat`` loop would re-copy the accumulated
+    arrays per partial (quadratic in the partial count) — and the row-value
+    caches merge when every partial carries one.
     Requires at least one partial; all must share a schema.
     """
     first = partials[0]

@@ -45,7 +45,6 @@ def sort_stage(
     k: int | None = None,
     position_attribute: str = "pos",
     descending: bool = False,
-    workers: int = 1,
     strict_tiebreak: str | None = None,
 ) -> ColumnarAURelation:
     """Uncertain sort emitting a columnar relation (non-terminal plan stage).
@@ -54,10 +53,7 @@ def sort_stage(
     ``k`` given, duplicates whose position is certainly not among the first
     ``k`` are pruned — exactly the duplicates a top-k selection on the
     position attribute would filter to zero, so top-k results agree with the
-    Python backend bit for bit.  With ``workers > 1`` the position-bound
-    kernels shard over contributor rows (per-shard emission schedules merged
-    by summation) on the forked worker pool — bit-identical, as the
-    differential suite pins.
+    Python backend bit for bit.
 
     The result is the columnar twin of ``sort_native``'s output, *including
     row order*: rows are emitted in the native sweep's emission order —
@@ -82,7 +78,6 @@ def sort_stage(
         columnar,
         order_by,
         descending=descending,
-        workers=workers,
         strict_tiebreak=strict_tiebreak,
     )
 
@@ -148,7 +143,6 @@ def sort_columnar(
     k: int | None = None,
     position_attribute: str = "pos",
     descending: bool = False,
-    workers: int = 1,
 ) -> AURelation:
     """Row-major adapter over :func:`sort_stage` (the plan boundary).
 
@@ -161,5 +155,4 @@ def sort_columnar(
         k=k,
         position_attribute=position_attribute,
         descending=descending,
-        workers=workers,
-    ).to_relation(workers=workers)
+    ).to_relation()

@@ -81,7 +81,6 @@ from repro.columnar.kernels import (
     sliding_window_sums,
     sort_position_bounds_ranked,
 )
-from repro.columnar.parallel import morsel_count, parallel_map, shard_ranges, shared_arrays
 from repro.columnar.relation import (
     AttributeColumn,
     ColumnarAURelation,
@@ -101,7 +100,7 @@ _PAIR_BUDGET = 4_000_000
 
 
 def window_stage(
-    relation: AURelation | ColumnarAURelation, spec: WindowSpec, *, workers: int = 1
+    relation: AURelation | ColumnarAURelation, spec: WindowSpec
 ) -> ColumnarAURelation:
     """Uncertain windowed aggregation emitting a columnar relation.
 
@@ -112,13 +111,6 @@ def window_stage(
     Inputs outside the vectorizable class delegate to the Python backend and
     convert back (the only case a mid-plan stage touches the row-major
     layout).
-
-    With ``workers > 1`` the sweep shards — across certain ``PARTITION BY``
-    groups when there are enough of them, by query chunks inside one sweep
-    otherwise — and runs the shards on a forked worker pool, bit-identical
-    to the serial sweep (see :mod:`repro.columnar.parallel`).  Fallback
-    kinds (uncertain partition keys, NaN, non-sweepable frames) always run
-    the unsharded Python backend.
     """
     columnar = as_columnar(relation)
     kind, spec, groups = _classify(columnar, spec)
@@ -126,11 +118,11 @@ def window_stage(
         return ColumnarAURelation.from_relation(
             _fallback_rows(columnar.to_relation(), spec, kind)
         )
-    return _partitioned_sweep(columnar, spec, groups, workers=workers)
+    return _partitioned_sweep(columnar, spec, groups)
 
 
 def window_columnar(
-    relation: AURelation | ColumnarAURelation, spec: WindowSpec, *, workers: int = 1
+    relation: AURelation | ColumnarAURelation, spec: WindowSpec
 ) -> AURelation:
     """Row-major adapter over :func:`window_stage` (the plan boundary).
 
@@ -145,9 +137,7 @@ def window_columnar(
     if kind != "sweep":
         rows = source if source is not None else columnar.to_relation()
         return _fallback_rows(rows, spec, kind)
-    return _partitioned_sweep(columnar, spec, groups, workers=workers).to_relation(
-        workers=workers
-    )
+    return _partitioned_sweep(columnar, spec, groups).to_relation()
 
 
 def _classify(
@@ -236,44 +226,23 @@ def _partitioned_sweep(
     spec: WindowSpec,
     groups: list[list[int]] | None,
     *,
-    workers: int = 1,
     strict_tiebreak: str | None = None,
 ) -> ColumnarAURelation:
     """The kernel sweep, split per (certain) partition when requested.
 
-    With ``workers > 1`` and enough partitions, the per-partition sweeps run
-    as morsels on the forked worker pool (partials concatenate in group
-    order, which is the serial emission order); with few partitions each
-    sweep instead parallelises internally over its query chunks.  Partition
-    groups come only from :func:`_certain_partition_groups`, so an uncertain
-    partition key can never be sharded — ``_classify`` already returned the
-    unsharded ``"native"`` fallback for it.  ``strict_tiebreak`` passes
+    Partition groups come only from :func:`_certain_partition_groups`, so an
+    uncertain partition key never reaches here — ``_classify`` already
+    returned the ``"native"`` fallback for it.  ``strict_tiebreak`` passes
     through to the sweep's position-bound sort (see :func:`_sweep_stage`);
     a strict column stays strict on every ``take`` subset, so the per-group
     split preserves the contract.
     """
     if groups is None:
-        return _sweep_stage(
-            columnar, spec, workers=workers, strict_tiebreak=strict_tiebreak
-        )
-    if len(groups) > 1 and workers > 1 and len(groups) >= morsel_count(workers):
-        partials = parallel_map(
-            lambda indices: _sweep_stage(
-                columnar.take(indices), spec, strict_tiebreak=strict_tiebreak
-            ),
-            groups,
-            workers=workers,
-        )
-    else:
-        partials = [
-            _sweep_stage(
-                columnar.take(indices),
-                spec,
-                workers=workers,
-                strict_tiebreak=strict_tiebreak,
-            )
-            for indices in groups
-        ]
+        return _sweep_stage(columnar, spec, strict_tiebreak=strict_tiebreak)
+    partials = [
+        _sweep_stage(columnar.take(indices), spec, strict_tiebreak=strict_tiebreak)
+        for indices in groups
+    ]
     if not partials:
         return _empty_result(columnar, spec)
     return _concat_partials(partials)
@@ -335,7 +304,6 @@ def _sweep_stage(
     columnar: ColumnarAURelation,
     spec: WindowSpec,
     *,
-    workers: int = 1,
     strict_tiebreak: str | None = None,
 ) -> ColumnarAURelation:
     """The vectorized window sweep over one partition (preceding-only frames).
@@ -345,14 +313,6 @@ def _sweep_stage(
     where the ranked sequence is the order the native sort's output dict
     would enumerate the duplicates in — so the result is the columnar twin
     of the Python backend's insertion-ordered output.
-
-    With ``workers > 1`` the query chunks (and the pair-counting pass that
-    sizes them) run as morsels on the forked worker pool, each writing its
-    ``[start, stop)`` block of the bound arrays into shared memory.  Chunk
-    contents depend only on the chunk's own queries and the globally shared
-    index, and the bound reductions are order-independent (exact integer
-    arithmetic in float64 — the ``_classify`` gates), so chunk boundaries
-    cannot change the result.
     """
     n = len(columnar)
     if n == 0:
@@ -364,7 +324,6 @@ def _sweep_stage(
         columnar,
         spec.order_by,
         descending=spec.descending,
-        workers=workers,
         strict_tiebreak=strict_tiebreak,
     )
 
@@ -400,16 +359,11 @@ def _sweep_stage(
     fval_lb = d_val_lb.astype(np.float64)
     fval_ub = d_val_ub.astype(np.float64)
     index = FrameMemberIndex(pos_lb, pos_ub, preceding)
-    parallel = workers > 1 and m > 1
     if m * m <= _PAIR_BUDGET:
         # Even the full pair grid fits the budget: no counting pass needed.
-        # The parallel path still cuts query-range morsels so small inputs
-        # genuinely exercise the sharded sweep (and the property suite can
-        # pin it against the single-chunk result).
-        chunks = shard_ranges(m, morsel_count(workers)) if parallel else [(0, m)]
+        chunks = [(0, m)]
     else:
-        counts = _pair_count_pass(index, pos_lb, pos_ub, workers if parallel else 1)
-        chunks = list(_query_chunks(counts, _PAIR_BUDGET))
+        chunks = _query_chunks(index.pair_counts(pos_lb, pos_ub), _PAIR_BUDGET)
 
     def chunk_bounds(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         block = slice(start, stop)
@@ -456,21 +410,10 @@ def _sweep_stage(
         np.maximum.at(b_ub, query, fval_ub[member])
         return b_lb, b_ub
 
-    if parallel and len(chunks) > 1:
-        # Workers fill their blocks of the shared bound buffers in place;
-        # only a per-chunk acknowledgement crosses the result queue.
-        w_lb, w_ub = shared_arrays((m, np.float64), (m, np.float64))
-
-        def run_chunk(chunk: tuple[int, int]) -> None:
-            start, stop = chunk
-            w_lb[start:stop], w_ub[start:stop] = chunk_bounds(start, stop)
-
-        parallel_map(run_chunk, chunks, workers=workers)
-    else:
-        w_lb = np.empty(m, dtype=np.float64)
-        w_ub = np.empty(m, dtype=np.float64)
-        for start, stop in chunks:
-            w_lb[start:stop], w_ub[start:stop] = chunk_bounds(start, stop)
+    w_lb = np.empty(m, dtype=np.float64)
+    w_ub = np.empty(m, dtype=np.float64)
+    for start, stop in chunks:
+        w_lb[start:stop], w_ub[start:stop] = chunk_bounds(start, stop)
 
     # Integer aggregation columns produce integer bounds on the Python
     # backend (sum/min/max/count of ints, and avg's member-value extrema);
@@ -574,28 +517,6 @@ def _selected_guess_aggregates(
         window_agg = sliding_window_extrema(vals, frame_size, maximum=True)
     agg[ordered] = window_agg
     return agg
-
-
-def _pair_count_pass(
-    index: FrameMemberIndex, pos_lb: np.ndarray, pos_ub: np.ndarray, workers: int
-) -> np.ndarray:
-    """The chunk-sizing pair-count pass, sharded over query ranges.
-
-    Each query's count depends only on the query itself and the shared
-    index, so range shards writing disjoint blocks of a shared buffer
-    reproduce the serial pass exactly.
-    """
-    if workers <= 1:
-        return index.pair_counts(pos_lb, pos_ub)
-    m = len(pos_lb)
-    (counts,) = shared_arrays((m, np.int64))
-
-    def count_block(block: tuple[int, int]) -> None:
-        start, stop = block
-        counts[start:stop] = index.pair_counts(pos_lb[start:stop], pos_ub[start:stop])
-
-    parallel_map(count_block, shard_ranges(m, morsel_count(workers)), workers=workers)
-    return counts
 
 
 def _query_chunks(pair_counts: np.ndarray, budget: int):

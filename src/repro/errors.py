@@ -41,18 +41,9 @@ class PlanError(OperatorError):
 
     Raised, for example, when a stage is chained onto a plan result that was
     already materialised with ``.to_rows()`` — the row-major boundary is
-    final; wrap the result in a fresh ``ColumnarPlan`` to keep querying it.
-    """
-
-
-class ParallelError(ReproError):
-    """The partitioned parallel executor was misconfigured or lost a worker.
-
-    Raised by :mod:`repro.columnar.parallel` for invalid worker counts
-    (including a malformed ``REPRO_WORKERS`` environment value) and for pool
-    infrastructure failures such as a shard worker dying without reporting a
-    result.  An exception *raised inside* a shard worker is re-raised in the
-    parent as-is, not wrapped in this class.
+    final; wrap the result in a fresh ``ColumnarPlan`` to keep querying it —
+    or when a plan, SQL or serving entry point is given ``workers`` other
+    than ``1``.
     """
 
 

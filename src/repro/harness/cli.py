@@ -5,13 +5,12 @@ table.  Example::
 
     python -m repro.harness fig11
     python -m repro.harness all
-    python -m repro.harness multiwindow --backend columnar --workers 4
+    python -m repro.harness multiwindow --backend columnar
 
 ``--backend`` restricts which backends the backend-comparison experiments
-time (the skipped side prints ``-``); ``--workers`` runs the columnar plans
-on the partitioned parallel executor.  Both flags work by setting the
-``REPRO_BACKEND`` / ``REPRO_WORKERS`` environment variables for the duration
-of the run, so scripted callers can set the variables directly instead.
+time (the skipped side prints ``-``).  It works by setting the
+``REPRO_BACKEND`` environment variable for the duration of the run, so
+scripted callers can set the variable directly instead.
 """
 
 from __future__ import annotations
@@ -24,19 +23,6 @@ from typing import Sequence
 from repro.harness.figures import ALL_EXPERIMENTS, BACKEND_CHOICES, BACKEND_ENV
 
 __all__ = ["main"]
-
-
-def _positive_int(raw: str) -> int:
-    """``argparse`` type for ``--workers``: a strictly positive integer."""
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}")
-    return value
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -56,25 +42,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="backends to time in the backend-comparison experiments "
         "(default: all; the skipped backend's columns print '-')",
     )
-    parser.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="worker processes for the partitioned parallel executor "
-        "(default: the REPRO_WORKERS environment variable, else 1)",
-    )
     args = parser.parse_args(argv)
 
-    from repro.columnar.parallel import WORKERS_ENV
-
-    overrides: dict[str, str] = {}
+    previous = os.environ.get(BACKEND_ENV)
     if args.backend is not None:
-        overrides[BACKEND_ENV] = args.backend
-    if args.workers is not None:
-        overrides[WORKERS_ENV] = str(args.workers)
-    previous = {name: os.environ.get(name) for name in overrides}
-    os.environ.update(overrides)
+        os.environ[BACKEND_ENV] = args.backend
     try:
         names = sorted(ALL_EXPERIMENTS) if args.experiment == "all" else [args.experiment]
         for name in names:
@@ -82,11 +54,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(result.to_text())
             print()
     finally:
-        for name, value in previous.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+        if previous is None:
+            os.environ.pop(BACKEND_ENV, None)
+        else:
+            os.environ[BACKEND_ENV] = previous
     return 0
 
 

@@ -36,8 +36,8 @@ from __future__ import annotations
 import threading
 from typing import Mapping, Sequence
 
-from repro.columnar.incremental import IncrementalView, merge_delta
-from repro.columnar.plan import PlanSpec
+from repro.columnar.incremental import IncrementalView, as_delta, merge_delta
+from repro.columnar.plan import PlanSpec, require_serial
 from repro.core.relation import AURelation
 from repro.errors import PlanError, ServingError
 from repro.serving.cache import PlanCache
@@ -53,22 +53,22 @@ class QueryServer:
     oracle configuration the serving benchmarks compare against.  All public
     methods are thread-safe (one re-entrant lock serialises cache and view
     mutation), and :meth:`query_async` exposes the same read path as a
-    coroutine for async front ends.
+    coroutine for async front ends.  ``workers`` is accepted for
+    compatibility only; any value but ``1`` raises
+    :class:`~repro.errors.PlanError`.
     """
 
     def __init__(
         self,
         base: AURelation,
         *,
-        workers: int | None = None,
+        workers: int = 1,
         capacity: int = 32,
         incremental: bool = True,
     ):
-        from repro.columnar.parallel import resolve_workers
-
+        require_serial(workers)
         self._lock = threading.RLock()
         self._base = base.copy()
-        self._workers = resolve_workers(workers)
         self._incremental = bool(incremental)
         self._cache = PlanCache(capacity)
         self._templates: dict[str, tuple[PlanSpec, tuple]] = {}
@@ -123,10 +123,7 @@ class QueryServer:
             key = (shape, params)
             view = self._cache.get(key)
             if view is None:
-                view = IncrementalView(
-                    self._base, spec,
-                    workers=self._workers, incremental=self._incremental,
-                )
+                view = IncrementalView(self._base, spec, incremental=self._incremental)
                 self._cache.put(key, view)
             return view.to_rows()
 
@@ -139,13 +136,18 @@ class QueryServer:
     ) -> None:
         """Fold a delta into the base and every cached view.
 
-        The base merge validates first (an invalid retraction raises
-        :class:`~repro.errors.OperatorError` with nothing committed).  Views
-        then patch one by one; each view's own apply is atomic, and a view
-        whose apply *fails* (e.g. a worker death mid-recompute) is evicted —
-        never left stale in the cache — before the failure re-raises.
+        The delta is validated before anything commits: a non-relation, a
+        schema mismatch (arity or column order), or an invalid retraction
+        raises :class:`~repro.errors.OperatorError` and leaves the base and
+        every cached view unchanged.  Views then patch one by one; each
+        view's own apply is atomic, and a view whose apply *fails* (e.g. a
+        kernel exception mid-recompute) is evicted — never left stale in the
+        cache — before the failure re-raises.
         """
         with self._lock:
+            schema = self._base.schema
+            inserts = as_delta(inserts, schema, "inserts")
+            retracts = as_delta(retracts, schema, "retracts")
             new_base, _patchable = merge_delta(self._base, inserts, retracts)
             self._base = new_base
             failure: BaseException | None = None
@@ -201,8 +203,6 @@ class QueryServer:
             spec = template.bind(params)
         except PlanError as exc:
             raise ServingError(f"template {name!r}: {exc}") from exc
-        view = IncrementalView(
-            self._base, spec, workers=self._workers, incremental=self._incremental
-        )
+        view = IncrementalView(self._base, spec, incremental=self._incremental)
         self._cache.put(key, view)
         return view

@@ -7,7 +7,7 @@ positioned :class:`~repro.errors.SqlError`), lowers a parsed
 (:mod:`repro.sql.optimizer`), and executes the plan on either backend:
 
 * ``backend="columnar"`` emits :class:`~repro.columnar.plan.ColumnarPlan`
-  stages (factorised joins by default, ``workers=`` threaded through);
+  stages (factorised joins by default);
 * ``backend="python"`` executes the row-at-a-time reference operators —
   the oracle the SQL-differential property suite compares against.
 
@@ -610,18 +610,18 @@ def _run_python(node: L.LogicalNode, catalog: Mapping) -> AURelation:
     raise TypeError(f"unknown logical node {type(node).__name__}")
 
 
-def _emit_columnar(node: L.LogicalNode, catalog: Mapping, workers, kernels: list):
+def _emit_columnar(node: L.LogicalNode, catalog: Mapping, kernels: list):
     from repro.columnar.plan import ColumnarPlan
 
     if isinstance(node, L.Scan):
-        return ColumnarPlan(catalog[node.table], workers=workers)
+        return ColumnarPlan(catalog[node.table])
     if isinstance(node, L.Narrow):
-        return _emit_columnar(node.child, catalog, workers, kernels).narrow(node.attributes)
+        return _emit_columnar(node.child, catalog, kernels).narrow(node.attributes)
     if isinstance(node, L.Filter):
-        return _emit_columnar(node.child, catalog, workers, kernels).select(node.predicate)
+        return _emit_columnar(node.child, catalog, kernels).select(node.predicate)
     if isinstance(node, L.Join):
-        left = _emit_columnar(node.left, catalog, workers, kernels)
-        right = _emit_columnar(node.right, catalog, workers, kernels)
+        left = _emit_columnar(node.left, catalog, kernels)
+        right = _emit_columnar(node.right, catalog, kernels)
         if node.method == "auto":
             kernels.append(
                 _planned_kernel(left._relation, right._relation, node.predicate, node.on)
@@ -633,31 +633,31 @@ def _emit_columnar(node: L.LogicalNode, catalog: Mapping, workers, kernels: list
             on=list(node.on) if node.on else None, method=node.method,
         )
     if isinstance(node, L.Extend):
-        return _emit_columnar(node.child, catalog, workers, kernels).extend(
+        return _emit_columnar(node.child, catalog, kernels).extend(
             node.name, node.expression
         )
     if isinstance(node, L.Aggregate):
-        return _emit_columnar(node.child, catalog, workers, kernels).groupby_aggregate(
+        return _emit_columnar(node.child, catalog, kernels).groupby_aggregate(
             list(node.group_by), list(node.aggregates)
         )
     if isinstance(node, L.Window):
-        return _emit_columnar(node.child, catalog, workers, kernels).window(node.spec)
+        return _emit_columnar(node.child, catalog, kernels).window(node.spec)
     if isinstance(node, L.Sort):
-        return _emit_columnar(node.child, catalog, workers, kernels).sort(
+        return _emit_columnar(node.child, catalog, kernels).sort(
             list(node.order_by),
             position_attribute=node.position_attribute, descending=node.descending,
         )
     if isinstance(node, L.TopK):
-        return _emit_columnar(node.child, catalog, workers, kernels).topk(
+        return _emit_columnar(node.child, catalog, kernels).topk(
             list(node.order_by), node.k,
             position_attribute=node.position_attribute, descending=node.descending,
         )
     if isinstance(node, L.Project):
-        return _emit_columnar(node.child, catalog, workers, kernels).project(
+        return _emit_columnar(node.child, catalog, kernels).project(
             list(node.attributes)
         )
     if isinstance(node, L.Rename):
-        return _emit_columnar(node.child, catalog, workers, kernels).rename(
+        return _emit_columnar(node.child, catalog, kernels).rename(
             dict(node.mapping)
         )
     raise TypeError(f"unknown logical node {type(node).__name__}")
@@ -720,7 +720,6 @@ class CompiledQuery:
     plan: L.LogicalNode
     unoptimized: L.LogicalNode
     backend: str
-    workers: Optional[int]
     catalog: Mapping = field(repr=False)
     join_kernels: tuple[str, ...] = ()
 
@@ -728,7 +727,7 @@ class CompiledQuery:
         if self.backend == "python":
             return _run_python(self.plan, self.catalog)
         kernels: list[str] = []
-        result = _emit_columnar(self.plan, self.catalog, self.workers, kernels).to_rows()
+        result = _emit_columnar(self.plan, self.catalog, kernels).to_rows()
         self.join_kernels = tuple(kernels)
         return result
 
@@ -761,15 +760,20 @@ def compile_sql(
     *,
     optimize: bool = True,
     backend: str = "columnar",
-    workers: Optional[int] = None,
+    workers: int = 1,
 ) -> CompiledQuery:
     """Parse, resolve, lower and (by default) optimize a SQL query.
 
     ``catalog`` maps table names to relations (:class:`AURelation` or
     columnar).  ``optimize=False`` keeps the literal lowering — grid joins,
     no pushdown, no pruning — which the differential suite and benchmarks
-    use as the semantics baseline.
+    use as the semantics baseline.  ``workers`` is accepted for
+    compatibility only; any value but ``1`` raises
+    :class:`~repro.errors.PlanError`.
     """
+    from repro.columnar.plan import require_serial
+
+    require_serial(workers)
     if backend not in ("columnar", "python"):
         raise SqlError(f"unknown backend {backend!r}; expected 'columnar' or 'python'")
     statement = parse(query)
@@ -782,7 +786,7 @@ def compile_sql(
         plan = optimize_plan(unoptimized, catalog)
     return CompiledQuery(
         query=query, statement=statement, plan=plan, unoptimized=unoptimized,
-        backend=backend, workers=workers, catalog=catalog,
+        backend=backend, catalog=catalog,
     )
 
 
@@ -792,12 +796,9 @@ def run_sql(
     *,
     optimize: bool = True,
     backend: str = "columnar",
-    workers: Optional[int] = None,
 ) -> AURelation:
     """Compile and execute ``query`` against ``catalog`` in one call."""
-    return compile_sql(
-        query, catalog, optimize=optimize, backend=backend, workers=workers
-    ).run()
+    return compile_sql(query, catalog, optimize=optimize, backend=backend).run()
 
 
 # -- PlanSpec production (serving integration) -------------------------------

@@ -121,17 +121,15 @@ def run_pipeline_python(fact: AURelation, dim: AURelation, threshold: int) -> AU
     return window_native(projected, PIPELINE_WINDOW)
 
 
-def run_pipeline_columnar(fact, dim, threshold: int, *, workers: int | None = None) -> AURelation:
+def run_pipeline_columnar(fact, dim, threshold: int) -> AURelation:
     """The identical plan as a columnar chain (row-major only at the boundary).
 
     Accepts either relation layout for both inputs (benchmarks pre-convert).
-    ``workers`` selects the partitioned parallel executor (``None`` reads
-    ``REPRO_WORKERS``); sharded runs stay bit-identical.
     """
     from repro.columnar.plan import ColumnarPlan
 
     return (
-        ColumnarPlan(fact, workers=workers)
+        ColumnarPlan(fact)
         .select(attr("v").ge(const(threshold)))
         .join(ColumnarPlan(dim), on=["g"])
         .project(["o", "v"])
@@ -160,19 +158,15 @@ def run_groupby_pipeline_python(fact: AURelation, dim: AURelation, threshold: in
     return window_native(grouped, GROUPBY_WINDOW)
 
 
-def run_groupby_pipeline_columnar(
-    fact, dim, threshold: int, *, workers: int | None = None
-) -> AURelation:
+def run_groupby_pipeline_columnar(fact, dim, threshold: int) -> AURelation:
     """The identical plan as a columnar chain — the groupby stage stays columnar.
 
     Accepts either relation layout for both inputs (benchmarks pre-convert).
-    ``workers`` selects the partitioned parallel executor (``None`` reads
-    ``REPRO_WORKERS``); sharded runs stay bit-identical.
     """
     from repro.columnar.plan import ColumnarPlan
 
     return (
-        ColumnarPlan(fact, workers=workers)
+        ColumnarPlan(fact)
         .select(attr("v").ge(const(threshold)))
         .join(ColumnarPlan(dim), on=["g"])
         .groupby_aggregate(["g"], GROUPBY_AGGREGATES)
@@ -231,21 +225,17 @@ def run_multiwindow_python(fact: AURelation, dim: AURelation, threshold: int) ->
     return window_native(spiky, MULTIWINDOW_SECOND)
 
 
-def run_multiwindow_columnar(
-    fact, dim, threshold: int, *, workers: int | None = None
-) -> AURelation:
+def run_multiwindow_columnar(fact, dim, threshold: int) -> AURelation:
     """The identical plan as one columnar chain — *both* windows stay columnar.
 
     This is the no-round-trip path the columnar-native window stages enable:
     the plan continues past the first window without re-converting.  Accepts
     either relation layout for both inputs (benchmarks pre-convert).
-    ``workers`` selects the partitioned parallel executor (``None`` reads
-    ``REPRO_WORKERS``); sharded runs stay bit-identical.
     """
     from repro.columnar.plan import ColumnarPlan
 
     return (
-        ColumnarPlan(fact, workers=workers)
+        ColumnarPlan(fact)
         .select(attr("v").ge(const(threshold)))
         .join(ColumnarPlan(dim), on=["g"])
         .window(MULTIWINDOW_FIRST)
@@ -309,22 +299,14 @@ def run_equijoin_python(left: AURelation, right: AURelation) -> AURelation:
     return join(left, right, on=["k"])
 
 
-def run_equijoin_columnar(
-    left, right, *, method: str = "auto", workers: int | None = None
-) -> AURelation:
-    """Columnar equi-join via the selected pair-enumeration kernel.
-
-    ``workers`` selects the partitioned parallel executor for both the join
-    kernel and the row-major plan boundary (``None`` reads ``REPRO_WORKERS``).
-    """
+def run_equijoin_columnar(left, right, *, method: str = "auto") -> AURelation:
+    """Columnar equi-join via the selected pair-enumeration kernel."""
     from repro.columnar import operators as col_ops
-    from repro.columnar.parallel import resolve_workers
     from repro.columnar.relation import as_columnar
 
-    workers = resolve_workers(workers)
     return col_ops.join(
-        as_columnar(left), as_columnar(right), on=["k"], method=method, workers=workers
-    ).to_relation(workers=workers)
+        as_columnar(left), as_columnar(right), on=["k"], method=method
+    ).to_relation()
 
 
 def rangejoin_inputs(rows: int, *, seed: int = 0) -> tuple[AURelation, AURelation]:
@@ -364,9 +346,7 @@ def run_rangejoin_python(left: AURelation, right: AURelation) -> AURelation:
     return join(left, right, on=["k"])
 
 
-def run_rangejoin_columnar(
-    left, right, *, method: str = "auto", workers: int | None = None
-) -> AURelation:
+def run_rangejoin_columnar(left, right, *, method: str = "auto") -> AURelation:
     """Columnar range×range join via the selected pair-enumeration kernel.
 
     ``method="auto"`` (and ``"sweep"``) enumerate only the possibly
@@ -374,13 +354,11 @@ def run_rangejoin_columnar(
     forces the quadratic contender for the differential cross-check.
     """
     from repro.columnar import operators as col_ops
-    from repro.columnar.parallel import resolve_workers
     from repro.columnar.relation import as_columnar
 
-    workers = resolve_workers(workers)
     return col_ops.join(
-        as_columnar(left), as_columnar(right), on=["k"], method=method, workers=workers
-    ).to_relation(workers=workers)
+        as_columnar(left), as_columnar(right), on=["k"], method=method
+    ).to_relation()
 
 
 #: Terminal stage of the factorised-join chain: a trailing sum of the fact
@@ -447,7 +425,6 @@ def run_factjoin_columnar(
     w_threshold: int,
     *,
     method: str = "auto",
-    workers: int | None = None,
 ) -> AURelation:
     """The identical chain as a columnar plan (factorised between stages).
 
@@ -459,7 +436,7 @@ def run_factjoin_columnar(
     from repro.columnar.plan import ColumnarPlan
 
     return (
-        ColumnarPlan(left, workers=workers)
+        ColumnarPlan(left)
         .select(attr("v").ge(const(v_threshold)))
         .join(ColumnarPlan(right), on=["k"], method=method)
         .select(attr("w").lt(const(w_threshold)))

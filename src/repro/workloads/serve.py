@@ -167,7 +167,6 @@ def run_serve_mix(
     schedule: Sequence[tuple],
     *,
     mode: str = "incremental",
-    workers: int | None = None,
     capacity: int = 32,
 ) -> tuple[list[AURelation], list[float], list[float]]:
     """Drive one serving configuration through a schedule.
@@ -197,9 +196,7 @@ def run_serve_mix(
             if op[0] == "query":
                 spec = templates[op[1]].bind(op[2])
                 start = perf_counter()
-                results.append(
-                    spec.apply(ColumnarPlan(accumulated, workers=workers)).to_rows()
-                )
+                results.append(spec.apply(ColumnarPlan(accumulated)).to_rows())
                 query_seconds.append(perf_counter() - start)
             else:
                 start = perf_counter()
@@ -209,10 +206,7 @@ def run_serve_mix(
 
     from repro.serving import QueryServer
 
-    server = QueryServer(
-        base, workers=workers, capacity=capacity,
-        incremental=(mode == "incremental"),
-    )
+    server = QueryServer(base, capacity=capacity, incremental=(mode == "incremental"))
     for name, spec in serve_templates().items():
         server.register(name, spec)
     for op in schedule:

@@ -86,18 +86,18 @@ def sql_catalog(rows: int, *, seed: int = 0) -> dict[str, AURelation]:
     return {"orders": orders, "parts": parts}
 
 
-def run_sql_optimized(catalog: dict, *, workers: int | None = None) -> AURelation:
+def run_sql_optimized(catalog: dict) -> AURelation:
     """The scaling query through the full rule pipeline (columnar backend)."""
     from repro.sql import run_sql
 
-    return run_sql(SQL_SCALING_QUERY, catalog, workers=workers)
+    return run_sql(SQL_SCALING_QUERY, catalog)
 
 
-def run_sql_unoptimized(catalog: dict, *, workers: int | None = None) -> AURelation:
+def run_sql_unoptimized(catalog: dict) -> AURelation:
     """The literal lowering: grid join, no pushdown, no pruning."""
     from repro.sql import run_sql
 
-    return run_sql(SQL_SCALING_QUERY, catalog, optimize=False, workers=workers)
+    return run_sql(SQL_SCALING_QUERY, catalog, optimize=False)
 
 
 def run_sql_python(catalog: dict) -> AURelation:

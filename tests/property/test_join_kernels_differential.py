@@ -14,8 +14,7 @@ for every member of the kernel family PR 8 added to
 Each class also pins the ``method="auto"`` dispatch
 (:func:`~repro.columnar.operators.planned_join_kernel` must select the
 non-grid kernel), the ``n == 0`` short-circuit, object-dtype keys degrading
-to the grid, bag multiplicities with ``ub > 1``, and ``workers=2`` being
-bit-identical to serial.
+to the grid, and bag multiplicities with ``ub > 1``.
 """
 
 from __future__ import annotations
@@ -128,11 +127,6 @@ def test_range_range_sweep_three_way_agreement(left, right):
     assert_bit_identical(grid, sweep)
     assert_bit_identical(grid, auto)
     assert_same_relation(join(left, right, on=["k"]), sweep.to_relation())
-    # workers=2 shards the candidate-pair blocks; must stay bit-identical.
-    sharded = col_ops.join(
-        columnar_left, columnar_right, on=["k"], method="sweep", workers=2
-    )
-    assert_bit_identical(sweep, sharded)
 
 
 BAND_PREDICATES = [
@@ -164,10 +158,6 @@ def test_band_predicate_three_way_agreement(left, right, index):
     assert_bit_identical(grid, band)
     assert_bit_identical(grid, auto)
     assert_same_relation(join(left, right, predicate), band.to_relation())
-    sharded = col_ops.join(
-        columnar_left, columnar_right, predicate, method="band", workers=2
-    )
-    assert_bit_identical(band, sharded)
 
 
 @SETTINGS

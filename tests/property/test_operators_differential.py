@@ -19,7 +19,7 @@ columns, bag multiplicities with ``ub > 1``, and empty results):
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.bounding import bounds_world
@@ -256,6 +256,17 @@ def certain_key_relations(draw, *, attributes=("k", "b"), max_tuples=5):
 @given(
     relation=au_relations(attributes=("g", "v"), max_tuples=5, max_count=3),
 )
+@example(
+    relation=AURelation.from_rows(
+        ["g", "v"],
+        [
+            ((RangeValue(0, 1, 2), 10), (1, 1, 1)),  # uncertain group key
+            ((1, 20), (1, 1, 1)),
+            ((1, 30), (0, 1, 1)),
+            ((2, 40), (1, 1, 2)),
+        ],
+    )
+)
 def test_groupby_backends_agree(relation):
     """Uncertain group keys exercise the N³ possible-membership handling."""
     assert_same_relation(
@@ -421,6 +432,30 @@ def test_empty_results_agree_on_both_backends():
         assert project(empty, ["a"], backend=backend).is_empty()
         assert distinct(empty, backend=backend).is_empty()
         assert cross(empty, relation, backend=backend).is_empty()
+
+    # Whole plans over an n = 0 input, and over an input the first stage
+    # filters to zero rows: every later stage sees an empty intermediate.
+    from repro.columnar.plan import ColumnarPlan
+    from repro.ranking.native import sort_native
+    from repro.window.native import window_native
+    from repro.window.spec import WindowSpec
+
+    spec = WindowSpec(function="sum", attribute="b", output="w", order_by=("a",), frame=(-1, 0))
+    aggregates = [("count", "*", "n"), ("sum", "b", "s")]
+    for source in (empty, relation):
+        rows = select(source, never)
+        plan = ColumnarPlan(source).select(never)
+        for python_result, plan_result in (
+            (rows, plan.to_rows()),
+            (sort_native(rows, ["a"]), plan.sort(["a"]).to_rows()),
+            (select(sort_native(rows, ["a"], k=2), attr("pos").lt(2)), plan.topk(["a"], 2).to_rows()),
+            (window_native(rows, spec), plan.window(spec).to_rows()),
+            (join(rows, other, attr("a").gt(attr("c"))), plan.join(other, attr("a").gt(attr("c"))).to_rows()),
+            (join(rows, relation, on=["a"]), plan.join(relation, on=["a"]).to_rows()),
+            (groupby_aggregate(rows, ["a"], aggregates), plan.groupby_aggregate(["a"], aggregates).to_rows()),
+        ):
+            assert python_result.is_empty()
+            assert_same_relation(python_result, plan_result)
 
 
 # -- det-world soundness oracle ---------------------------------------------

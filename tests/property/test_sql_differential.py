@@ -15,8 +15,7 @@ order):
 * **hand-built** — for the fixed flagship shape, a ``ColumnarPlan`` chain
   written directly against the stage API, bypassing the SQL layer entirely.
 
-Inputs cover bag multiplicities (``ub > 1``), object-dtype columns, and
-sharded execution (``workers=2`` vs serial).
+Inputs cover bag multiplicities (``ub > 1``) and object-dtype columns.
 """
 
 from __future__ import annotations
@@ -126,19 +125,6 @@ def sql_queries(draw):
 )
 def test_random_sql_three_way(query, t, s):
     run_all_ways(query, {"t": t, "s": s})
-
-
-@SETTINGS
-@given(
-    query=sql_queries(),
-    t=au_relations(attributes=("a", "b", "g")),
-    s=au_relations(attributes=("a", "d")),
-)
-def test_random_sql_sharded_matches_serial(query, t, s):
-    catalog = {"t": t, "s": s}
-    serial = run_sql(query, catalog)
-    sharded = run_sql(query, catalog, workers=2)
-    assert_same_relation(serial, sharded)
 
 
 @SETTINGS

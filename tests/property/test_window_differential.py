@@ -25,7 +25,7 @@ pin the converged semantics.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.ranges import RangeValue
@@ -172,6 +172,18 @@ def test_partitioned_sweep_matches_rewrite(relation, function, frame):
 @given(
     relation=au_relations(attributes=("o", "v", "g"), min_value=0, max_value=4),
     function=st.sampled_from(FUNCTIONS),
+)
+@example(
+    relation=AURelation.from_rows(
+        ["o", "v", "g"],
+        [
+            ((1, 10, RangeValue(0, 1, 2)), (1, 1, 1)),  # uncertain partition key
+            ((2, 20, 1), (1, 1, 1)),
+            ((3, 30, 1), (0, 1, 1)),
+            ((4, 40, 2), (1, 1, 2)),
+        ],
+    ),
+    function="sum",
 )
 def test_partitioned_backends_agree(relation, function):
     pytest.importorskip("numpy", reason="the columnar backend requires NumPy")

@@ -174,7 +174,7 @@ class TestColumnarPlan:
     def test_stages_stay_columnar_until_the_boundary(self):
         plan = ColumnarPlan(people()).select(attr("age").ge(const(20))).project(["age"])
         assert isinstance(plan.columnar(), ColumnarAURelation)
-        result = plan.relation()
+        result = plan.to_rows()
         assert isinstance(result, AURelation)
         assert_same(project(select(people(), attr("age").ge(const(20))), ["age"]), result)
 
@@ -313,14 +313,41 @@ class TestColumnarPlan:
         with pytest.raises(OperatorError, match="non-negative"):
             ColumnarPlan(people()).topk(["age"], -1)
 
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True, False, "2", None])
+    def test_eager_and_deferred_topk_reject_non_integer_k(self, bad):
+        from repro.columnar.plan import PlanSpec
+
+        with pytest.raises(OperatorError, match="non-negative int"):
+            ColumnarPlan(people()).topk(["age"], bad)
+        with pytest.raises(OperatorError, match="non-negative int"):
+            PlanSpec().topk(["age"], bad)
+
+    @pytest.mark.parametrize("workers", [2, 0, None, True, 1.0])
+    def test_workers_other_than_one_raise_plan_error(self, workers):
+        from repro.errors import PlanError
+        from repro.serving import QueryServer
+        from repro.sql import compile_sql
+
+        relation = people()
+        with pytest.raises(PlanError, match="parallel executor was removed"):
+            ColumnarPlan(relation, workers=workers)
+        with pytest.raises(PlanError, match="parallel executor was removed"):
+            compile_sql("SELECT name AS name FROM t", {"t": relation}, workers=workers)
+        with pytest.raises(PlanError, match="parallel executor was removed"):
+            QueryServer(relation, workers=workers)
+        # The serial value stays accepted at all three entry points.
+        assert_same(relation, ColumnarPlan(relation, workers=1).to_rows())
+        compile_sql("SELECT name AS name FROM t", {"t": relation}, workers=1)
+        QueryServer(relation, workers=1)
+
     def test_union_cross_accept_plans_and_relations(self):
         relation = people()
-        by_plan = ColumnarPlan(relation).union(ColumnarPlan(relation)).relation()
-        by_relation = ColumnarPlan(relation).union(relation).relation()
+        by_plan = ColumnarPlan(relation).union(ColumnarPlan(relation)).to_rows()
+        by_relation = ColumnarPlan(relation).union(relation).to_rows()
         assert_same(by_plan, by_relation)
         assert_same(union(relation, relation), by_plan)
         assert_same(
-            cross(relation, relation), ColumnarPlan(relation).cross(relation).relation()
+            cross(relation, relation), ColumnarPlan(relation).cross(relation).to_rows()
         )
 
     def test_rename_and_extend_stages(self):
@@ -329,7 +356,7 @@ class TestColumnarPlan:
             ColumnarPlan(relation)
             .extend("age2", attr("age") * const(2))
             .rename({"age2": "double_age"})
-            .relation()
+            .to_rows()
         )
         from repro.core.operators import rename as row_rename
 
@@ -439,7 +466,7 @@ class TestColumnarGroupby:
         assert isinstance(plan.columnar(), ColumnarAURelation)
         assert_same(
             groupby_aggregate(self.sales(), ["g"], [("sum", "v", "s"), ("count", "*", "n")]),
-            plan.relation(),
+            plan.to_rows(),
         )
 
     def test_plan_select_join_groupby_window_chain(self):

@@ -1,9 +1,9 @@
 """Documentation tests: doctests on the documented modules, link/TOC checks.
 
-The CI docs job runs the same checks standalone (``python -m doctest`` +
-``tools/check_docs.py``); running them inside tier-1 too means a broken
-docstring example or a dead link in ``docs/ARCHITECTURE.md`` fails the
-ordinary test run, not just the docs job.
+This file is the one list of documented modules and guides: the CI docs job
+runs it on its own, and tier-1 runs it too, so a broken docstring example or
+a dead link in ``docs/ARCHITECTURE.md`` fails the ordinary test run, not
+just the docs job.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ import pytest
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
-#: Modules whose docstring examples must stay runnable (the CI docs job runs
-#: ``python -m doctest`` over the same list — keep it in sync with ci.yml).
+#: Modules whose docstring examples must stay runnable.
 DOCTEST_MODULES = [
     "repro.core.operators.aggregate",
     "repro.core.operators.distinct",
@@ -33,7 +32,6 @@ DOCTEST_MODULES = [
 #: Modules needing NumPy (skipped, not failed, when it is unavailable).
 DOCTEST_MODULES_NUMPY = [
     "repro.columnar.relation",
-    "repro.columnar.parallel",
     "repro.columnar.plan",
     "repro.columnar.factorised",
     "repro.columnar.sort",
@@ -52,8 +50,7 @@ DOCUMENTS = [
     "examples/README.md",
 ]
 
-#: Markdown files whose fenced examples are executable doctests (the CI docs
-#: job runs ``python -m doctest`` over the same list — keep in sync).
+#: Markdown files whose fenced examples are executable doctests.
 DOCTEST_DOCUMENTS = ["docs/PLAN_GUIDE.md", "docs/SQL_GUIDE.md"]
 
 
@@ -102,7 +99,6 @@ def test_architecture_doc_covers_the_subsystems():
         "_dispatch",
         "groupby_aggregate",
         "searchsorted",
-        "Parallel execution",
         "Module map",
         "bounding",
         "IncrementalView",

@@ -137,14 +137,7 @@ class TestExperimentsRegistry:
 
 
 class TestCliFlags:
-    """Validation and env plumbing of ``--backend`` / ``--workers``."""
-
-    @pytest.mark.parametrize("bad", ["0", "-2", "two", "2.5"])
-    def test_rejects_bad_worker_counts(self, bad, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["heap_table", "--workers", bad])
-        assert excinfo.value.code == 2  # argparse usage error
-        assert "positive integer" in capsys.readouterr().err
+    """Validation and env plumbing of ``--backend``."""
 
     def test_rejects_unknown_backend(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -156,25 +149,25 @@ class TestCliFlags:
         from repro.harness import cli
 
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        monkeypatch.setenv("REPRO_WORKERS", "7")
-        seen = {}
+        seen = []
 
         class FakeResult:
             def to_text(self):
                 return "fake"
 
         def fake_experiment():
-            seen["backend"] = os.environ.get("REPRO_BACKEND")
-            seen["workers"] = os.environ.get("REPRO_WORKERS")
+            seen.append(os.environ.get("REPRO_BACKEND"))
             return FakeResult()
 
         monkeypatch.setattr(cli, "ALL_EXPERIMENTS", {"fake": fake_experiment})
-        assert main(["fake", "--backend", "columnar", "--workers", "2"]) == 0
-        assert seen == {"backend": "columnar", "workers": "2"}
-        # The overrides are scoped to the run: the unset variable is unset
-        # again, the pre-existing one is back to its previous value.
+        assert main(["fake", "--backend", "columnar"]) == 0
+        # The override is scoped to the run: an unset variable is unset
+        # again, a pre-existing one is back to its previous value.
         assert "REPRO_BACKEND" not in os.environ
-        assert os.environ["REPRO_WORKERS"] == "7"
+        monkeypatch.setenv("REPRO_BACKEND", "python")
+        assert main(["fake", "--backend", "columnar"]) == 0
+        assert os.environ["REPRO_BACKEND"] == "python"
+        assert seen == ["columnar", "columnar"]
         assert "fake" in capsys.readouterr().out
 
     def test_backend_enabled_rejects_unknown_env_value(self, monkeypatch):

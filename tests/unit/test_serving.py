@@ -8,34 +8,27 @@ refresh recency), the no-aliasing guarantee (mutating a served relation
 must not corrupt the cached view), and delta fan-out (every cached view
 patches; a view whose apply fails is evicted — never left stale).
 
-The fault-injection tests reuse the worker-pool failure modes pinned in
-``test_parallel``: a forked worker dying mid-delta (``os._exit``) must
-surface as :class:`~repro.errors.ParallelError` while the view stays
-pre-delta (atomic apply) and the server drops the failed view instead of
-serving its stale result.
+The fault-injection tests make a kernel raise mid-delta: the view must stay
+pre-delta (atomic apply) and the server must drop the failed view instead of
+serving its stale result.  Malformed deltas must be rejected before anything
+commits.
 """
 
 from __future__ import annotations
 
 import asyncio
-import os
 
 import pytest
 
 pytest.importorskip("numpy", reason="the serving layer runs on the columnar backend")
 
 from repro.columnar.incremental import merge_delta
-from repro.columnar.parallel import fork_capable
 from repro.columnar.plan import ColumnarPlan, PlanSpec
 from repro.core.expressions import attr, const
 from repro.core.relation import AURelation
 from repro.core.schema import Schema
-from repro.errors import OperatorError, ParallelError, ReproError, ServingError
+from repro.errors import OperatorError, ReproError, ServingError
 from repro.serving import PlanCache, QueryServer
-
-needs_fork = pytest.mark.skipif(
-    not fork_capable(), reason="the worker pool requires fork-started processes"
-)
 
 SCHEMA = ("g", "v")
 
@@ -53,7 +46,7 @@ def _template() -> PlanSpec:
 
 
 def _groupby_spec() -> PlanSpec:
-    """The fallback class: every delta recomputes (through the worker pool)."""
+    """The fallback class: every delta recomputes (through the group-by kernel)."""
     return PlanSpec().groupby_aggregate(["g"], [("sum", "v", "s")])
 
 
@@ -205,6 +198,29 @@ class TestQueryServer:
         assert_bit_identical(_base(), server.base_rows())
         assert_bit_identical(before, server.query("top", (0,)))
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            AURelation.from_rows(["g", "v", "w"], [((3, 8, 1), 1)]),  # wrong arity
+            AURelation.from_rows(["v", "g"], [((8, 3), 1)]),  # same columns, reordered
+            [(3, 8)],  # not a relation at all
+        ],
+        ids=["arity", "column-order", "list"],
+    )
+    def test_malformed_delta_is_rejected_before_the_base_merge(self, bad):
+        server = QueryServer(_base())
+        server.register("top", _template())
+        before = server.query("top", (0,))
+        view = server.cached_view("top", (0,))
+        with pytest.raises(OperatorError, match="inserts"):
+            server.apply_delta(inserts=bad)
+        assert_bit_identical(_base(), server.base_rows())
+        assert server.cached_view("top", (0,)) is view
+        assert view.last_apply == "rebuilt"
+        assert_bit_identical(before, view.to_rows())
+        assert_bit_identical(before, server.query("top", (0,)))
+        assert server.stats()["views"] == 1
+
     def test_eviction_under_the_capacity_cap(self):
         server = QueryServer(_base(), capacity=1)
         server.register("top", _template())
@@ -266,66 +282,58 @@ class TestFaultInjection:
         expected = _expected(_template().bind((0,)), accumulated)
         assert_bit_identical(expected, server.query("top", (0,)))
 
-    @needs_fork
-    def test_worker_death_mid_delta_leaves_the_view_pre_delta(self, monkeypatch):
-        """Atomic apply: a dead worker raises ParallelError, nothing commits."""
+    def test_kernel_exception_mid_delta_leaves_the_view_pre_delta(self, monkeypatch):
+        """Atomic apply: a kernel raising mid-recompute commits nothing."""
         from repro.columnar import operators
         from repro.columnar.incremental import IncrementalView
-        from repro.columnar.parallel import parallel_map
 
         base = _base()
-        view = IncrementalView(base, _groupby_spec(), workers=2)
+        view = IncrementalView(base, _groupby_spec())
         before = view.to_rows()
+        original = operators.groupby_aggregate
 
-        def dying_map(fn, tasks, *, workers=1):
-            if workers > 1:
-                def lethal(task):
-                    os._exit(17)
+        def exploding(*args, **kwargs):
+            raise RuntimeError("injected kernel fault")
 
-                return parallel_map(lethal, tasks, workers=workers)
-            return parallel_map(fn, tasks, workers=workers)
-
-        monkeypatch.setattr(operators, "parallel_map", dying_map)
-        with pytest.raises(ParallelError, match="exited without reporting"):
+        monkeypatch.setattr(operators, "groupby_aggregate", exploding)
+        with pytest.raises(RuntimeError, match="injected kernel fault"):
             view.apply_delta(inserts=_fresh_delta())
         assert_bit_identical(before, view.to_rows())
         assert_bit_identical(base, view.base_rows())
-        # the pool recovers: the same delta applies once workers behave
-        monkeypatch.setattr(operators, "parallel_map", parallel_map)
+        assert view.last_apply == "rebuilt"
+        # the next good delta applies once the kernel behaves
+        monkeypatch.setattr(operators, "groupby_aggregate", original)
         view.apply_delta(inserts=_fresh_delta())
         accumulated, _ = merge_delta(base, _fresh_delta(), None)
         assert_bit_identical(_expected(_groupby_spec(), accumulated), view.to_rows())
+        assert_bit_identical(accumulated, view.base_rows())
 
-    @needs_fork
     def test_worker_death_evicts_the_view_without_poisoning_the_cache(
         self, monkeypatch
     ):
+        """A real view dying mid-recompute (its group-by kernel raises) is
+        evicted; the next query rebuilds it against the committed base."""
         from repro.columnar import operators
-        from repro.columnar.parallel import parallel_map
 
         base = _base()
-        server = QueryServer(base, workers=2)
+        server = QueryServer(base)
         server.register("agg", _groupby_spec())
         server.query("agg")
+        original = operators.groupby_aggregate
 
-        def dying_map(fn, tasks, *, workers=1):
-            if workers > 1:
-                def lethal(task):
-                    os._exit(17)
+        def exploding(*args, **kwargs):
+            raise RuntimeError("injected kernel fault")
 
-                return parallel_map(lethal, tasks, workers=workers)
-            return parallel_map(fn, tasks, workers=workers)
-
-        monkeypatch.setattr(operators, "parallel_map", dying_map)
+        monkeypatch.setattr(operators, "groupby_aggregate", exploding)
         inserts = _fresh_delta()
-        with pytest.raises(ParallelError, match="exited without reporting"):
+        with pytest.raises(RuntimeError, match="injected kernel fault"):
             server.apply_delta(inserts=inserts)
         # the base committed (it merged before view fan-out), the stale view
         # did not survive, and the next query rebuilds against the new base
         assert server.stats()["views"] == 0
         accumulated, _ = merge_delta(base, inserts, None)
         assert_bit_identical(accumulated, server.base_rows())
-        monkeypatch.setattr(operators, "parallel_map", parallel_map)
+        monkeypatch.setattr(operators, "groupby_aggregate", original)
         assert_bit_identical(
             _expected(_groupby_spec(), accumulated), server.query("agg")
         )

@@ -3,8 +3,8 @@
 Each run appends one JSON record to a ``BENCH_*.json`` trajectory (a JSON
 array at the repository root) timing the large-N harness workloads — the
 multi-window plan (``select -> join -> window -> select -> window``), the
-equi-join and range×range join at each requested worker count (each timing
-carries the pair-enumeration kernel ``method="auto"`` selects, via
+equi-join and range×range join (each timing carries the pair-enumeration
+kernel ``method="auto"`` selects, via
 :func:`repro.columnar.operators.planned_join_kernel`, so a dispatch
 regression is diffable across records), plus the factorised
 ``select -> join -> select -> window`` chain (``factjoin``).  The factjoin
@@ -26,13 +26,11 @@ through the full rule pipeline and brackets optimized vs unoptimized
 (literal-lowering) vs Python-oracle timings, asserting three-way
 bit-identity and recording the join kernels the optimizer steered onto.
 
-Records carry the host's core count: speedup numbers are only meaningful
-when ``cpus >= workers`` (an oversubscribed pool measures scheduling
-overhead, not scaling), so downstream tooling must filter on it rather than
-compare raw milliseconds across machines.
+Records carry the host's core count, so downstream tooling can tell
+machines apart rather than compare raw milliseconds across them.
 
 Runs are config-driven: ``--config benchmarks/configs/<id>.json`` holds the
-workload shape (rows / reps / workers / harness ids / output file) as JSON,
+workload shape (rows / reps / harness ids / output file) as JSON,
 so every PR re-runs the *same* named configuration and the appended records
 diff cleanly across commits.  Explicit CLI flags override config values.
 
@@ -40,7 +38,7 @@ Example::
 
     PYTHONPATH=src python tools/bench_trajectory.py --config benchmarks/configs/pipeline.json
     PYTHONPATH=src python tools/bench_trajectory.py --config benchmarks/configs/rangejoin.json
-    PYTHONPATH=src python tools/bench_trajectory.py --rows 20000 --workers 1,2,4
+    PYTHONPATH=src python tools/bench_trajectory.py --rows 20000
 
 The trajectory is append-only — committing the file over time charts the
 backend's perf history against a fixed workload shape.
@@ -345,24 +343,8 @@ def measure_sql(rows: int, reps: int, *, grid_ceiling: int = 4096) -> dict:
     return block
 
 
-def parse_workers(raw: str) -> list[int]:
-    try:
-        values = sorted({int(part) for part in raw.split(",") if part.strip()})
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a comma-separated list of positive integers, got {raw!r}"
-        ) from None
-    if not values or any(value < 1 for value in values):
-        raise argparse.ArgumentTypeError(
-            f"expected a comma-separated list of positive integers, got {raw!r}"
-        )
-    return values
-
-
-def measure(
-    rows: int, workers: list[int], reps: int, harnesses: list[str]
-) -> list[dict]:
-    """Per-worker-count timings for the requested scaling harnesses.
+def measure(rows: int, reps: int, harnesses: list[str]) -> dict:
+    """Timings for the requested scaling harnesses.
 
     Every join timing records the kernel the ``method="auto"`` dispatch
     would select for the workload's inputs, so a silent dispatch regression
@@ -380,62 +362,29 @@ def measure(
         run_rangejoin_columnar,
     )
 
-    prepared = {}
+    entry: dict = {}
+    report = []
     if "multiwindow" in harnesses:
         fact, dim, threshold = multiwindow_inputs(rows)
-        prepared["multiwindow"] = (
-            ColumnarAURelation.from_relation(fact),
-            ColumnarAURelation.from_relation(dim),
-            threshold,
-        )
-    if "equijoin" in harnesses:
-        left, right = equijoin_inputs(rows)
-        prepared["equijoin"] = (
-            ColumnarAURelation.from_relation(left),
-            ColumnarAURelation.from_relation(right),
-        )
-    if "rangejoin" in harnesses:
-        left, right = rangejoin_inputs(rows)
-        prepared["rangejoin"] = (
-            ColumnarAURelation.from_relation(left),
-            ColumnarAURelation.from_relation(right),
-        )
-
-    results = []
-    for count in workers:
-        entry: dict = {"workers": count}
-        report = []
-        if "multiwindow" in prepared:
-            fact, dim, threshold = prepared["multiwindow"]
-            ms = best_of(
-                lambda: run_multiwindow_columnar(fact, dim, threshold, workers=count),
-                reps,
-            )
-            entry["multiwindow_ms"] = round(ms, 3)
-            report.append(f"multiwindow={ms:.1f}ms")
-        if "equijoin" in prepared:
-            left, right = prepared["equijoin"]
-            kernel = col_ops.planned_join_kernel(left, right, on=["k"])
-            ms = best_of(
-                lambda: run_equijoin_columnar(left, right, method=kernel, workers=count),
-                reps,
-            )
-            entry["equijoin_ms"] = round(ms, 3)
-            entry["equijoin_kernel"] = kernel
-            report.append(f"equijoin={ms:.1f}ms[{kernel}]")
-        if "rangejoin" in prepared:
-            left, right = prepared["rangejoin"]
-            kernel = col_ops.planned_join_kernel(left, right, on=["k"])
-            ms = best_of(
-                lambda: run_rangejoin_columnar(left, right, method=kernel, workers=count),
-                reps,
-            )
-            entry["rangejoin_ms"] = round(ms, 3)
-            entry["rangejoin_kernel"] = kernel
-            report.append(f"rangejoin={ms:.1f}ms[{kernel}]")
-        results.append(entry)
-        print(f"workers={count}: " + " ".join(report))
-    return results
+        fact = ColumnarAURelation.from_relation(fact)
+        dim = ColumnarAURelation.from_relation(dim)
+        ms = best_of(lambda: run_multiwindow_columnar(fact, dim, threshold), reps)
+        entry["multiwindow_ms"] = round(ms, 3)
+        report.append(f"multiwindow={ms:.1f}ms")
+    for name, inputs, run in (
+        ("equijoin", equijoin_inputs, run_equijoin_columnar),
+        ("rangejoin", rangejoin_inputs, run_rangejoin_columnar),
+    ):
+        if name not in harnesses:
+            continue
+        left, right = (ColumnarAURelation.from_relation(r) for r in inputs(rows))
+        kernel = col_ops.planned_join_kernel(left, right, on=["k"])
+        ms = best_of(lambda: run(left, right, method=kernel), reps)
+        entry[f"{name}_ms"] = round(ms, 3)
+        entry[f"{name}_kernel"] = kernel
+        report.append(f"{name}={ms:.1f}ms[{kernel}]")
+    print(" ".join(report))
+    return entry
 
 
 def load_config(path: Path) -> dict:
@@ -444,7 +393,7 @@ def load_config(path: Path) -> dict:
     if not isinstance(config, dict):
         raise SystemExit(f"{path} must hold a JSON object")
     unknown = set(config) - {
-        "rows", "reps", "workers", "harnesses", "factjoin_rows", "output",
+        "rows", "reps", "harnesses", "factjoin_rows", "output",
         "queries", "deltas",
     }
     if unknown:
@@ -453,11 +402,6 @@ def load_config(path: Path) -> dict:
     bad = [h for h in harnesses if h not in HARNESSES]
     if bad:
         raise SystemExit(f"{path}: unknown harness ids {bad}; expected {HARNESSES}")
-    workers = config.get("workers", [])
-    if not isinstance(workers, list) or any(
-        not isinstance(w, int) or w < 1 for w in workers
-    ):
-        raise SystemExit(f"{path}: 'workers' must be a list of positive integers")
     return config
 
 
@@ -468,15 +412,9 @@ def main(argv: list[str] | None = None) -> int:
         type=Path,
         default=None,
         help="JSON config (benchmarks/configs/<id>.json) supplying defaults "
-        "for rows/reps/workers/harnesses/output; explicit flags override",
+        "for rows/reps/harnesses/output; explicit flags override",
     )
     parser.add_argument("--rows", type=int, default=None, help="workload size (default 20000)")
-    parser.add_argument(
-        "--workers",
-        type=parse_workers,
-        default=None,
-        help="comma-separated worker counts to time (default 1,2,4)",
-    )
     parser.add_argument("--reps", type=int, default=None, help="repetitions, best-of (default 1)")
     parser.add_argument(
         "--factjoin-rows",
@@ -492,9 +430,6 @@ def main(argv: list[str] | None = None) -> int:
     config = load_config(args.config) if args.config else {}
     rows = args.rows if args.rows is not None else config.get("rows", 20000)
     reps = args.reps if args.reps is not None else config.get("reps", 1)
-    workers = (
-        args.workers if args.workers is not None else config.get("workers") or [1, 2, 4]
-    )
     harnesses = config.get("harnesses") or ["multiwindow", "equijoin"]
     factjoin_rows = (
         args.factjoin_rows
@@ -506,7 +441,7 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     scaling = [h for h in harnesses if h not in ("factjoin", "serve", "sql")]
-    results = measure(rows, workers, reps, scaling) if scaling else []
+    results = [measure(rows, reps, scaling)] if scaling else []
     record = {
         "timestamp": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
         "rows": rows,
