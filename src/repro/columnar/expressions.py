@@ -198,8 +198,9 @@ def referenced_attributes(
 
 def _scalar_range_columns(relation, expression):
     values = []
-    for i in range(len(relation)):
-        tup = AUTuple(relation.schema, relation.row_values(i))
+    schema = relation.schema
+    for row in relation.rows():
+        tup = AUTuple(schema, row)
         result = (
             expression.eval_range(tup) if isinstance(expression, Expression) else expression(tup)
         )
@@ -218,8 +219,9 @@ def _scalar_predicate_masks(relation, predicate):
     certain = np.zeros(n, dtype=bool)
     sg = np.zeros(n, dtype=bool)
     possible = np.zeros(n, dtype=bool)
-    for i in range(n):
-        tup = AUTuple(relation.schema, relation.row_values(i))
+    schema = relation.schema
+    for i, row in enumerate(relation.rows()):
+        tup = AUTuple(schema, row)
         result = (
             predicate.eval_range(tup) if isinstance(predicate, Expression) else predicate(tup)
         )

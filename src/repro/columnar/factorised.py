@@ -177,7 +177,7 @@ class FactorisedGroup:
                 if idx is None:
                     return column
                 _record(len(idx))
-                return AttributeColumn(name, column.lb[idx], column.sg[idx], column.ub[idx])
+                return column.take(idx, name)
         raise KeyError(name)
 
     def multiplicities(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -308,7 +308,7 @@ class FactorisedAURelation:
             frag_idx = group.indices[f]
             if frag_idx is not None:
                 idx = frag_idx[idx]
-            columns.append(AttributeColumn(name, column.lb[idx], column.sg[idx], column.ub[idx]))
+            columns.append(column.take(idx, name))
         mult_lb = mult_sg = mult_ub = None
         for g, group in enumerate(self.groups):
             glb, gsg, gub = group.multiplicities()
@@ -336,13 +336,11 @@ class FactorisedAURelation:
             if frag_idx is None:
                 return column
             _record(len(frag_idx))
-            return AttributeColumn(
-                name, column.lb[frag_idx], column.sg[frag_idx], column.ub[frag_idx]
-            )
+            return column.take(frag_idx, name)
         rows = self._rows_in_group(g, np.arange(len(self), dtype=np.int64))
         idx = rows if frag_idx is None else frag_idx[rows]
         _record(len(idx))
-        return AttributeColumn(name, column.lb[idx], column.sg[idx], column.ub[idx])
+        return column.take(idx, name)
 
     def pair_multiplicities(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The multiplicity triple over all logical pair rows."""
@@ -613,7 +611,7 @@ def fact_cross(
 
 def _take_column(column: AttributeColumn, idx: np.ndarray, name: str) -> AttributeColumn:
     _record(len(idx))
-    return AttributeColumn(name, column.lb[idx], column.sg[idx], column.ub[idx])
+    return column.take(idx, name)
 
 
 def fact_join(
@@ -947,7 +945,7 @@ def _reattached(
     fragments.append(
         ColumnarAURelation(
             Schema((extra_name,)),
-            (AttributeColumn(extra_name, extra.lb, extra.sg, extra.ub),),
+            (extra.renamed(extra_name),),
             ones,
             ones,
             ones,

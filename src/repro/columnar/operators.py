@@ -252,7 +252,7 @@ def cross(left: ColumnarAURelation, right: ColumnarAURelation) -> ColumnarAURela
         expanded_right = right.tile(n_left)
     columns = list(expanded_left.columns)
     for name, column in zip(schema.attributes[len(columns) :], expanded_right.columns):
-        columns.append(AttributeColumn(name, column.lb, column.sg, column.ub))
+        columns.append(column.renamed(name))
     return ColumnarAURelation(
         schema,
         columns,
@@ -260,29 +260,6 @@ def cross(left: ColumnarAURelation, right: ColumnarAURelation) -> ColumnarAURela
         expanded_left.mult_sg * expanded_right.mult_sg,
         expanded_left.mult_ub * expanded_right.mult_ub,
     )
-
-
-def _pair_values(
-    left: ColumnarAURelation,
-    right: ColumnarAURelation,
-    left_rows: np.ndarray,
-    right_rows: np.ndarray,
-) -> list[tuple[RangeValue, ...]] | None:
-    """Row-major value cache of selected pair rows (when both sides carry one).
-
-    Concatenating the cached value tuples keeps the cache flowing through
-    join stages, so the eventual boundary conversion only rebuilds range
-    values for columns computed *after* the join.  Callers pass only the
-    *surviving* pairs — building the cache for a full pair grid would cost
-    ``O(|L|·|R|)`` Python work before the equality masks prune it.
-    """
-    if left._values is None or right._values is None:
-        return None
-    left_values, right_values = left._values, right._values
-    return [
-        left_values[i] + right_values[j]
-        for i, j in zip(left_rows.tolist(), right_rows.tolist())
-    ]
 
 
 def join(
@@ -422,13 +399,7 @@ def join(
     mult_sg = np.where(sg, product.mult_sg, 0)
     mult_ub = np.where(possible, product.mult_ub, 0)
     keep = np.flatnonzero(mult_ub > 0)
-    result = product.with_multiplicities(mult_lb, mult_sg, mult_ub).take(keep)
-    if len(right):
-        # Attach the row-value cache for the *surviving* pairs only (the
-        # product enumerates left-outer / right-inner, so pair t is
-        # (t // |R|, t % |R|)).
-        result._values = _pair_values(left, right, keep // len(right), keep % len(right))
-    return result
+    return product.with_multiplicities(mult_lb, mult_sg, mult_ub).take(keep)
 
 
 def _column_certain(column: AttributeColumn) -> bool:
@@ -800,13 +771,10 @@ def _join_pairs(
     """
     schema = left.schema.concat(right.schema, disambiguate=True)
     columns = [
-        AttributeColumn(name, column.lb[left_rows], column.sg[left_rows], column.ub[left_rows])
-        for name, column in zip(schema.attributes, left.columns)
+        column.take(left_rows, name) for name, column in zip(schema.attributes, left.columns)
     ]
     for name, column in zip(schema.attributes[len(columns) :], right.columns):
-        columns.append(
-            AttributeColumn(name, column.lb[right_rows], column.sg[right_rows], column.ub[right_rows])
-        )
+        columns.append(column.take(right_rows, name))
     product = ColumnarAURelation(
         schema,
         columns,
@@ -843,11 +811,7 @@ def _join_pairs(
     mult_sg = np.where(sg, product.mult_sg, 0)
     mult_ub = np.where(possible, product.mult_ub, 0)
     keep = np.flatnonzero(mult_ub > 0)
-    result = product.with_multiplicities(mult_lb, mult_sg, mult_ub).take(keep)
-    # Attach the row-value cache for the *surviving* pairs only (matching
-    # the grid path: candidates the masks pruned never pay the scalar pass).
-    result._values = _pair_values(left, right, left_rows[keep], right_rows[keep])
-    return result
+    return product.with_multiplicities(mult_lb, mult_sg, mult_ub).take(keep)
 
 
 def _pairwise_equality(
@@ -878,8 +842,8 @@ def _pairwise_equality(
     certain = np.empty(n_left * n_right, dtype=bool)
     sg = np.empty(n_left * n_right, dtype=bool)
     possible = np.empty(n_left * n_right, dtype=bool)
-    left_values = [left.value(i) for i in range(n_left)]
-    right_values = [right.value(j) for j in range(n_right)]
+    left_values = left.range_values()
+    right_values = right.range_values()
     pair = 0
     for lvalue in left_values:
         for rvalue in right_values:
@@ -1341,7 +1305,7 @@ def _scalar_aggregate_column(
     """
     from repro.core.operators.aggregate import value_aggregate_bounds
 
-    values = [column.value(i) for i in range(len(relation))]
+    values = column.range_values()
     mults = [relation.multiplicity(i) for i in range(len(relation))]
     # pair_group is sorted: per-group contributor slices via searchsorted.
     starts = np.searchsorted(pair_group, np.arange(groups), side="left")

@@ -112,8 +112,13 @@ class ColumnarPlan:
             self._relation = relation._relation
         elif isinstance(relation, FactorisedAURelation):
             self._relation = relation
-        else:
+        elif isinstance(relation, (AURelation, ColumnarAURelation)):
             self._relation = as_columnar(relation)
+        else:
+            raise PlanError(
+                "a plan starts from an AURelation, ColumnarAURelation, "
+                f"FactorisedAURelation or ColumnarPlan, got {type(relation).__name__}"
+            )
 
     def _expanded(self) -> ColumnarAURelation:
         """The current intermediate as an expanded columnar relation."""
@@ -178,9 +183,10 @@ class ColumnarPlan:
         projected hypercubes — ``narrow`` keeps the exact row sequence, so
         every downstream stage (including the tie-break-sensitive ranked
         stages fed indirectly through joins and aggregates) sees the same
-        rows in the same order, just with slimmer column caches.  On a
-        factorised intermediate it is a no-op: fragments only gather the
-        columns later stages actually touch, so there is nothing to drop.
+        rows in the same order, just fewer columns.  The kept columns are
+        shared, so this costs no per-row work.  On a factorised intermediate
+        it is a no-op: fragments only gather the columns later stages
+        actually touch, so there is nothing to drop.
         """
         if isinstance(self._relation, FactorisedAURelation):
             return self
@@ -633,17 +639,11 @@ def _unwrap(
     other: "ColumnarPlan | AURelation | ColumnarAURelation",
 ) -> ColumnarAURelation:
     """``other`` as an expanded columnar relation (for eager binary stages)."""
-    if isinstance(other, ColumnarPlan):
-        return other._expanded()
-    if isinstance(other, FactorisedAURelation):
-        return other.expand()
-    return as_columnar(other)
+    return ColumnarPlan(other)._expanded()
 
 
 def _unwrap_factorised(
     other: "ColumnarPlan | AURelation | ColumnarAURelation | FactorisedAURelation",
 ) -> FactorisedAURelation:
     """``other`` as a factorised relation, keeping its layout (no expansion)."""
-    if isinstance(other, ColumnarPlan):
-        return as_factorised(other._relation)
-    return as_factorised(other)
+    return ColumnarPlan(other).factorised()

@@ -22,11 +22,19 @@ Numeric columns are stored as ``int64`` / ``float64`` arrays (enabling the
 vectorized kernels of :mod:`repro.columnar.kernels`); columns mixing types or
 containing strings / ``None`` fall back to ``object`` arrays, which keeps the
 representation lossless for every scalar the row-major layout accepts.
+
+Rows exist only at the boundary (:meth:`ColumnarAURelation.to_relation`,
+iteration): there the range values are built one column at a time.  A column
+converted from row-major input also keeps the input's own
+:class:`~repro.core.ranges.RangeValue` objects (:attr:`AttributeColumn.objects`);
+row gathers carry them along, so the boundary reuses them instead of
+rebuilding a range value per cell.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from operator import itemgetter
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -109,31 +117,73 @@ def column_array(values: Sequence[Scalar]) -> np.ndarray:
             pass
     elif kinds == {float}:
         return np.array(values, dtype=np.float64)
-    out = np.empty(len(values), dtype=object)
-    for i, value in enumerate(values):
-        out[i] = value
-    return out
+    return np.fromiter(values, dtype=object, count=len(values))
 
 
 class AttributeColumn:
-    """The three bound-component arrays of one attribute."""
+    """The three bound-component arrays of one attribute.
 
-    __slots__ = ("name", "lb", "sg", "ub")
+    ``objects`` optionally holds each row's :class:`RangeValue` itself (an
+    ``object`` array aligned with ``lb`` / ``sg`` / ``ub``): a column
+    converted from row-major input keeps the input's objects, and row
+    gathers (:meth:`take`, repeats, concatenations, renames) carry them.  A
+    column whose components are *computed* carries none, so ``objects``
+    always agrees with the arrays.
+    """
 
-    def __init__(self, name: str, lb: np.ndarray, sg: np.ndarray, ub: np.ndarray):
+    __slots__ = ("name", "lb", "sg", "ub", "objects")
+
+    def __init__(
+        self,
+        name: str,
+        lb: np.ndarray,
+        sg: np.ndarray,
+        ub: np.ndarray,
+        objects: np.ndarray | None = None,
+    ):
         self.name = name
         self.lb = lb
         self.sg = sg
         self.ub = ub
+        self.objects = objects
 
     @property
     def is_numeric(self) -> bool:
         """Whether every component array has a (vectorizable) numeric dtype."""
         return all(arr.dtype != object for arr in (self.lb, self.sg, self.ub))
 
+    def take(self, idx: np.ndarray, name: str | None = None) -> "AttributeColumn":
+        """The rows at ``idx`` (renamed to ``name`` if given), objects included."""
+        return self._gathered(lambda arr: arr[idx], name)
+
+    def _gathered(
+        self, gather: Callable[[np.ndarray], np.ndarray], name: str | None = None
+    ) -> "AttributeColumn":
+        """One row gather applied alike to the components and the objects."""
+        objects = self.objects
+        return AttributeColumn(
+            self.name if name is None else name,
+            gather(self.lb),
+            gather(self.sg),
+            gather(self.ub),
+            None if objects is None else gather(objects),
+        )
+
+    def renamed(self, name: str) -> "AttributeColumn":
+        """The same column under another attribute name (arrays shared)."""
+        return AttributeColumn(name, self.lb, self.sg, self.ub, self.objects)
+
     def value(self, row: int) -> RangeValue:
         """Reconstruct the range value of one row."""
+        if self.objects is not None:
+            return self.objects[row]
         return RangeValue(_item(self.lb[row]), _item(self.sg[row]), _item(self.ub[row]))
+
+    def range_values(self) -> list[RangeValue]:
+        """Every row's range value: the carried objects, else built from the arrays."""
+        if self.objects is not None:
+            return self.objects.tolist()
+        return list(map(RangeValue, _items(self.lb), _items(self.sg), _items(self.ub)))
 
 
 def _item(value: object) -> Scalar:
@@ -141,10 +191,16 @@ def _item(value: object) -> Scalar:
     return value.item() if isinstance(value, np.generic) else value  # type: ignore[return-value]
 
 
+def _items(arr: np.ndarray) -> list[Scalar]:
+    """:func:`_item` over a whole component array (``tolist`` unwraps non-object dtypes)."""
+    values = arr.tolist()
+    return list(map(_item, values)) if arr.dtype == object else values
+
+
 class ColumnarAURelation:
     """An AU-relation in structure-of-arrays (columnar) layout."""
 
-    __slots__ = ("schema", "columns", "mult_lb", "mult_sg", "mult_ub", "_values")
+    __slots__ = ("schema", "columns", "mult_lb", "mult_sg", "mult_ub")
 
     def __init__(
         self,
@@ -153,37 +209,39 @@ class ColumnarAURelation:
         mult_lb: np.ndarray,
         mult_sg: np.ndarray,
         mult_ub: np.ndarray,
-        _values: list[tuple[RangeValue, ...]] | None = None,
     ):
         self.schema = schema
         self.columns = tuple(columns)
         self.mult_lb = mult_lb
         self.mult_sg = mult_sg
         self.mult_ub = mult_ub
-        # Cached row-major value tuples (populated when converting from an
-        # AURelation) so that materialising results does not have to rebuild
-        # every RangeValue from the arrays.
-        self._values = _values
 
     # -- conversions ---------------------------------------------------------
 
     @staticmethod
     def from_relation(relation: AURelation) -> "ColumnarAURelation":
-        """Losslessly convert a row-major AU-relation (iteration order kept)."""
+        """Losslessly convert a row-major AU-relation (iteration order kept).
+
+        Each column keeps the input's own range values as its ``objects``,
+        so converting back reuses them instead of rebuilding every cell.
+        """
         schema = relation.schema
         values: list[tuple[RangeValue, ...]] = []
         mults: list[Multiplicity] = []
         for tup, mult in relation:
             values.append(tup.values)
             mults.append(mult)
+        n = len(values)
         columns = []
         for j, name in enumerate(schema):
+            cells = list(map(itemgetter(j), values))
             columns.append(
                 AttributeColumn(
                     name,
-                    column_array([row[j].lb for row in values]),
-                    column_array([row[j].sg for row in values]),
-                    column_array([row[j].ub for row in values]),
+                    column_array([cell.lb for cell in cells]),
+                    column_array([cell.sg for cell in cells]),
+                    column_array([cell.ub for cell in cells]),
+                    np.fromiter(cells, dtype=object, count=n),
                 )
             )
         return ColumnarAURelation(
@@ -192,40 +250,29 @@ class ColumnarAURelation:
             np.array([m.lb for m in mults], dtype=np.int64),
             np.array([m.sg for m in mults], dtype=np.int64),
             np.array([m.ub for m in mults], dtype=np.int64),
-            _values=values,
         )
 
     def to_relation(self) -> AURelation:
         """Convert back to the row-major layout (tuples with equal hypercubes merge)."""
         out = AURelation(self.schema)
-        for i in range(len(self)):
-            out.add(
-                AUTuple(self.schema, self.row_values(i)),
-                Multiplicity(int(self.mult_lb[i]), int(self.mult_sg[i]), int(self.mult_ub[i])),
-            )
+        for tup, mult in self:
+            out.add(tup, mult)
         return out
 
     def take(self, indices: Sequence[int] | np.ndarray) -> "ColumnarAURelation":
         """A columnar relation holding the selected rows (kernel-friendly slicing).
 
         Used by the per-partition window sweep: partitions become row subsets
-        without a round trip through the row-major layout.
+        without a round trip through the row-major layout.  Every column
+        gathers through :meth:`AttributeColumn.take`, objects included.
         """
         idx = np.asarray(indices, dtype=np.int64)
-        columns = [
-            AttributeColumn(column.name, column.lb[idx], column.sg[idx], column.ub[idx])
-            for column in self.columns
-        ]
-        values = None
-        if self._values is not None:
-            values = [self._values[i] for i in idx.tolist()]
         return ColumnarAURelation(
             self.schema,
-            columns,
+            [column.take(idx) for column in self.columns],
             self.mult_lb[idx],
             self.mult_sg[idx],
             self.mult_ub[idx],
-            _values=values,
         )
 
     # -- structural kernels (used by repro.columnar.operators) -----------------
@@ -236,40 +283,21 @@ class ColumnarAURelation:
 
     def repeat(self, repeats: int | np.ndarray) -> "ColumnarAURelation":
         """Each row repeated ``repeats`` times (row-aligned or scalar count)."""
-        columns = [
-            AttributeColumn(
-                column.name,
-                np.repeat(column.lb, repeats),
-                np.repeat(column.sg, repeats),
-                np.repeat(column.ub, repeats),
-            )
-            for column in self.columns
-        ]
-        return ColumnarAURelation(
-            self.schema,
-            columns,
-            np.repeat(self.mult_lb, repeats),
-            np.repeat(self.mult_sg, repeats),
-            np.repeat(self.mult_ub, repeats),
-        )
+        return self._gathered(lambda arr: np.repeat(arr, repeats))
 
     def tile(self, reps: int) -> "ColumnarAURelation":
         """The whole relation repeated ``reps`` times back to back."""
-        columns = [
-            AttributeColumn(
-                column.name,
-                np.tile(column.lb, reps),
-                np.tile(column.sg, reps),
-                np.tile(column.ub, reps),
-            )
-            for column in self.columns
-        ]
+        return self._gathered(lambda arr: np.tile(arr, reps))
+
+    def _gathered(
+        self, gather: Callable[[np.ndarray], np.ndarray]
+    ) -> "ColumnarAURelation":
         return ColumnarAURelation(
             self.schema,
-            columns,
-            np.tile(self.mult_lb, reps),
-            np.tile(self.mult_sg, reps),
-            np.tile(self.mult_ub, reps),
+            [column._gathered(gather) for column in self.columns],
+            gather(self.mult_lb),
+            gather(self.mult_sg),
+            gather(self.mult_ub),
         )
 
     def concat(self, other: "ColumnarAURelation") -> "ColumnarAURelation":
@@ -278,82 +306,46 @@ class ColumnarAURelation:
 
         if self.schema != other.schema:
             raise SchemaError("concat requires identical schemas")
-        columns = [
-            AttributeColumn(
-                left.name,
-                _concat_components(left.lb, right.lb),
-                _concat_components(left.sg, right.sg),
-                _concat_components(left.ub, right.ub),
-            )
-            for left, right in zip(self.columns, other.columns)
-        ]
-        return ColumnarAURelation(
-            self.schema,
-            columns,
-            np.concatenate([self.mult_lb, other.mult_lb]),
-            np.concatenate([self.mult_sg, other.mult_sg]),
-            np.concatenate([self.mult_ub, other.mult_ub]),
-        )
+        return concat_relations((self, other))
 
     def rename(self, mapping: dict[str, str]) -> "ColumnarAURelation":
         """Attributes renamed according to ``mapping`` (arrays shared, not copied)."""
         schema = self.schema.rename(dict(mapping))
-        columns = [
-            AttributeColumn(name, column.lb, column.sg, column.ub)
-            for name, column in zip(schema, self.columns)
-        ]
-        return ColumnarAURelation(
-            schema, columns, self.mult_lb, self.mult_sg, self.mult_ub, _values=self._values
-        )
+        columns = [column.renamed(name) for name, column in zip(schema, self.columns)]
+        return ColumnarAURelation(schema, columns, self.mult_lb, self.mult_sg, self.mult_ub)
 
     def restrict(self, attributes: Sequence[str]) -> "ColumnarAURelation":
         """Columns restricted (and reordered) to ``attributes``, rows untouched.
 
         Structural only — equal projected hypercubes are *not* merged; the
         bag-projection operator (:func:`repro.columnar.operators.project`)
-        layers the merge on top.
+        layers the merge on top.  The kept columns are shared, not copied:
+        no per-row work.
         """
         schema = self.schema.project(attributes)
         columns = [self.column(name) for name in attributes]
-        values = None
-        if self._values is not None:
-            indices = [self.schema.index_of(name) for name in attributes]
-            values = [tuple(row[k] for k in indices) for row in self._values]
-        return ColumnarAURelation(
-            schema, columns, self.mult_lb, self.mult_sg, self.mult_ub, _values=values
-        )
+        return ColumnarAURelation(schema, columns, self.mult_lb, self.mult_sg, self.mult_ub)
 
     def with_column(self, column: AttributeColumn) -> "ColumnarAURelation":
         """One computed attribute appended (row-aligned component arrays).
 
-        When the receiver carries the row-major value cache, it is extended
-        with the new column's range values (only the appended column pays a
-        scalar pass), so boundary conversions after a sort / window /
-        extend stage stay as cheap as before the stage.
+        The existing columns are shared; no per-row work.  A computed column
+        carries no ``objects``, so the boundary builds its range values from
+        the arrays.
         """
-        values = None
-        if self._values is not None:
-            lb, sg, ub = column.lb.tolist(), column.sg.tolist(), column.ub.tolist()
-            values = [
-                base + (RangeValue(lb[i], sg[i], ub[i]),)
-                for i, base in enumerate(self._values)
-            ]
         return ColumnarAURelation(
             self.schema.extend(column.name),
             self.columns + (column,),
             self.mult_lb,
             self.mult_sg,
             self.mult_ub,
-            _values=values,
         )
 
     def with_multiplicities(
         self, mult_lb: np.ndarray, mult_sg: np.ndarray, mult_ub: np.ndarray
     ) -> "ColumnarAURelation":
         """Same rows under replaced multiplicity triples (selection filtering)."""
-        return ColumnarAURelation(
-            self.schema, self.columns, mult_lb, mult_sg, mult_ub, _values=self._values
-        )
+        return ColumnarAURelation(self.schema, self.columns, mult_lb, mult_sg, mult_ub)
 
     # -- access --------------------------------------------------------------
 
@@ -365,10 +357,14 @@ class ColumnarAURelation:
         return self.columns[self.schema.index_of(name)]
 
     def row_values(self, row: int) -> tuple[RangeValue, ...]:
-        """The range values of one row (cached when converted from row-major)."""
-        if self._values is not None:
-            return self._values[row]
+        """The range values of one row (the carried objects where present)."""
         return tuple(column.value(row) for column in self.columns)
+
+    def rows(self) -> list[tuple[RangeValue, ...]]:
+        """Every row's range values, built one column at a time."""
+        if not self.columns:
+            return [()] * len(self)
+        return list(zip(*(column.range_values() for column in self.columns)))
 
     def multiplicity(self, row: int) -> Multiplicity:
         return Multiplicity(
@@ -376,8 +372,13 @@ class ColumnarAURelation:
         )
 
     def __iter__(self) -> Iterator[tuple[AUTuple, Multiplicity]]:
-        for i in range(len(self)):
-            yield AUTuple(self.schema, self.row_values(i)), self.multiplicity(i)
+        schema = self.schema
+        lbs, sgs, ubs = (
+            arr.astype(np.int64, copy=False).tolist()
+            for arr in (self.mult_lb, self.mult_sg, self.mult_ub)
+        )
+        for values, lb, sg, ub in zip(self.rows(), lbs, sgs, ubs):
+            yield AUTuple(schema, values), Multiplicity(lb, sg, ub)
 
     @property
     def total_possible(self) -> int:
@@ -408,42 +409,38 @@ def concat_components(arrays: Sequence[np.ndarray]) -> np.ndarray:
     return column_array([value for arr in arrays for value in arr.tolist()])
 
 
-def _concat_components(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    return concat_components((left, right))
-
-
 def concat_relations(partials: Sequence["ColumnarAURelation"]) -> "ColumnarAURelation":
     """Concatenate partial results with one array copy per component.
 
     The stitch-up of the per-partition window sweeps and the incremental
     layer's appended rows: each bound component concatenates once across
     all partials — a pairwise ``concat`` loop would re-copy the accumulated
-    arrays per partial (quadratic in the partial count) — and the row-value
-    caches merge when every partial carries one.
+    arrays per partial (quadratic in the partial count) — and a column keeps
+    its ``objects`` when every partial's column carries them.
     Requires at least one partial; all must share a schema.
     """
     first = partials[0]
     if len(partials) == 1:
         return first
-    columns = [
-        AttributeColumn(
-            column.name,
-            concat_components([p.columns[j].lb for p in partials]),
-            concat_components([p.columns[j].sg for p in partials]),
-            concat_components([p.columns[j].ub for p in partials]),
+    columns = []
+    for j, column in enumerate(first.columns):
+        parts = [p.columns[j] for p in partials]
+        objects = [part.objects for part in parts]
+        columns.append(
+            AttributeColumn(
+                column.name,
+                concat_components([part.lb for part in parts]),
+                concat_components([part.sg for part in parts]),
+                concat_components([part.ub for part in parts]),
+                None if any(o is None for o in objects) else np.concatenate(objects),
+            )
         )
-        for j, column in enumerate(first.columns)
-    ]
-    values = None
-    if all(p._values is not None for p in partials):
-        values = [row for p in partials for row in p._values]
     return ColumnarAURelation(
         first.schema,
         columns,
         np.concatenate([p.mult_lb for p in partials]),
         np.concatenate([p.mult_sg for p in partials]),
         np.concatenate([p.mult_ub for p in partials]),
-        _values=values,
     )
 
 

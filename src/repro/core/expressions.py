@@ -172,32 +172,45 @@ class Comparison(Expression):
     def eval_range(self, tup: AUTuple) -> RangeBool:
         left = _expect_range(self.left.eval_range(tup))
         right = _expect_range(self.right.eval_range(tup))
-        if self.op == "<":
-            return left.lt(right)
-        if self.op == "<=":
-            return left.le(right)
-        if self.op == ">":
-            return left.gt(right)
-        if self.op == ">=":
-            return left.ge(right)
-        if self.op == "==":
-            return left.eq(right)
-        return left.ne(right)
+        try:
+            if self.op == "<":
+                return left.lt(right)
+            if self.op == "<=":
+                return left.le(right)
+            if self.op == ">":
+                return left.gt(right)
+            if self.op == ">=":
+                return left.ge(right)
+            if self.op == "==":
+                return left.eq(right)
+            return left.ne(right)
+        except TypeError as exc:
+            raise self._incomparable(
+                _type_names(left.lb, left.sg, left.ub), _type_names(right.lb, right.sg, right.ub)
+            ) from exc
 
     def eval_det(self, row: Mapping[str, Scalar]) -> bool:
         left = self.left.eval_det(row)
         right = self.right.eval_det(row)
-        if self.op == "<":
-            return left < right  # type: ignore[operator]
-        if self.op == "<=":
-            return left <= right  # type: ignore[operator]
-        if self.op == ">":
-            return left > right  # type: ignore[operator]
-        if self.op == ">=":
-            return left >= right  # type: ignore[operator]
+        try:
+            if self.op == "<":
+                return left < right  # type: ignore[operator]
+            if self.op == "<=":
+                return left <= right  # type: ignore[operator]
+            if self.op == ">":
+                return left > right  # type: ignore[operator]
+            if self.op == ">=":
+                return left >= right  # type: ignore[operator]
+        except TypeError as exc:
+            raise self._incomparable(_type_names(left), _type_names(right)) from exc
         if self.op == "==":
             return left == right
         return left != right
+
+    def _incomparable(self, left: str, right: str) -> ExpressionError:
+        return ExpressionError(
+            f"cannot evaluate {left} {self.op} {right}: the operand types are not comparable"
+        )
 
 
 @dataclass(frozen=True)
@@ -264,6 +277,11 @@ class IfThenElse(Expression):
         if bool(self.condition.eval_det(row)):
             return self.then_branch.eval_det(row)
         return self.else_branch.eval_det(row)
+
+
+def _type_names(*values: object) -> str:
+    """The distinct type names of ``values`` (``"int"``, ``"NoneType/int"``)."""
+    return "/".join(dict.fromkeys(type(value).__name__ for value in values))
 
 
 def _expect_range(value: RangeValue | RangeBool) -> RangeValue:

@@ -555,8 +555,12 @@ def lower(
 # -- execution ---------------------------------------------------------------
 
 
-def _schema_of(relation) -> Schema:
-    schema = relation.schema
+def _schema_of(table: str, relation) -> Schema:
+    schema = getattr(relation, "schema", None)
+    if schema is None:
+        raise SqlError(
+            f"catalog table {table!r} is not a relation: got {type(relation).__name__}"
+        )
     return schema if isinstance(schema, Schema) else Schema(schema)
 
 
@@ -777,7 +781,7 @@ def compile_sql(
     if backend not in ("columnar", "python"):
         raise SqlError(f"unknown backend {backend!r}; expected 'columnar' or 'python'")
     statement = parse(query)
-    schemas = {name: _schema_of(rel) for name, rel in catalog.items()}
+    schemas = {name: _schema_of(name, rel) for name, rel in catalog.items()}
     unoptimized = lower(query, statement, schemas)
     plan = unoptimized
     if optimize:

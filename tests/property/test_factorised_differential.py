@@ -17,6 +17,10 @@ same ``N³`` triples, same first-occurrence row order).  The inputs cover bag
 multiplicities (``ub > 1``), uncertain join keys (which push the factorised
 join onto its automatic expand-and-fallback path — pinned here to stay
 bit-identical), and object-dtype payload *and* key columns.
+
+A last property pins the row boundary itself: every result converts to the
+same rows, type for type, whether its columns carry the input's range-value
+objects or rebuild them from the component arrays.
 """
 
 from __future__ import annotations
@@ -27,7 +31,9 @@ from hypothesis import strategies as st
 
 from repro.core.expressions import attr, const
 from repro.core.operators import groupby_aggregate, join, project, select
+from repro.core.ranges import RangeValue
 from repro.core.relation import AURelation
+from repro.core.schema import Schema
 from repro.window.native import window_native
 from repro.window.spec import WindowSpec
 
@@ -41,7 +47,11 @@ from tests.property.strategies import (
 pytest.importorskip("numpy", reason="the columnar backend requires NumPy")
 
 from repro.columnar.plan import ColumnarPlan  # noqa: E402
-from repro.columnar.relation import ColumnarAURelation  # noqa: E402
+from repro.columnar.relation import (  # noqa: E402
+    AttributeColumn,
+    ColumnarAURelation,
+    as_columnar,
+)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -227,3 +237,90 @@ def test_factorised_object_join_keys_fall_back(left, right):
         .to_rows()
     )
     assert_same_relation(python_result, plan_result)
+
+
+#: Payload pools, one per relation: strings, and bool / None / int / float
+#: mixes (mutually comparable, so the python-side sort of the bounds works).
+_PAYLOAD_POOLS = (
+    ["p", "q", "r", "s"],
+    [None, 0, 1, 2],
+    [False, True, 1, 2],
+    [0, 0.5, 1, 2.5],
+    [None, False, 1, 1.5],
+)
+
+
+@st.composite
+def payload_relations(draw, *, attributes, max_tuples, certain_keys):
+    """``(key, value, payload)``: int keys, int ranges, an object-dtype payload."""
+    from repro.relational.sort import sort_key_value
+
+    pool = draw(st.sampled_from(_PAYLOAD_POOLS))
+    relation = AURelation(Schema(attributes))
+    for _ in range(draw(st.integers(min_value=0, max_value=max_tuples))):
+        if certain_keys:
+            key = draw(st.integers(min_value=-3, max_value=3))
+        else:
+            key = draw(range_values(min_value=-3, max_value=3))
+        bounds = sorted(
+            draw(st.lists(st.sampled_from(pool), min_size=3, max_size=3)),
+            key=sort_key_value,
+        )
+        relation.add_values(
+            [key, draw(range_values()), RangeValue(*bounds)],
+            draw(multiplicities(max_count=3)),
+        )
+    return relation
+
+
+def without_objects(relation: ColumnarAURelation) -> ColumnarAURelation:
+    """The same relation with every column's carried range values dropped."""
+    columns = [AttributeColumn(c.name, c.lb, c.sg, c.ub) for c in relation.columns]
+    return ColumnarAURelation(
+        relation.schema, columns, relation.mult_lb, relation.mult_sg, relation.mult_ub
+    )
+
+
+def boundary_repr(relation: ColumnarAURelation) -> str:
+    """The boundary rows, spelled out type for type (``1``, ``1.0``, ``True``)."""
+    return repr(list(relation.to_relation()._rows.items()))
+
+
+@pytest.mark.parametrize("stage", STAGES)
+@SETTINGS
+@given(certain_keys=st.booleans(), data=st.data(), threshold=st.integers(-2, 2))
+def test_carried_objects_match_the_arrays(stage, certain_keys, data, threshold):
+    """The boundary rows are the same with and without the carried ``objects``.
+
+    A gather that forgot ``objects``, or a stage that kept them after changing
+    a component, makes them disagree with the arrays.  The join runs
+    factorised, expanded after the join, and through the eager searchsorted /
+    sweep and grid kernels.
+    """
+    from repro.columnar import operators as ops
+
+    left = data.draw(
+        payload_relations(attributes=("k", "a", "p"), max_tuples=4, certain_keys=certain_keys)
+    )
+    right = data.draw(
+        payload_relations(attributes=("k", "b", "q"), max_tuples=3, certain_keys=certain_keys)
+    )
+    selected = ColumnarPlan(left).select(attr("a").ge(const(threshold)))
+    joined = selected.join(ColumnarPlan(right), on=["k"])
+    eager = [
+        ColumnarPlan(ops.join(selected.columnar(), as_columnar(right), on=["k"], method=method))
+        for method in ("auto", "grid")
+    ]
+    for contender in [joined, ColumnarPlan(joined.columnar())] + eager:
+        if stage == "select":
+            staged = contender.select(attr("b").le(const(threshold)))
+        elif stage == "project":
+            staged = contender.project(["a", "p", "q"])
+        elif stage == "groupby":
+            staged = contender.groupby_aggregate(["a"], GROUPBY_AGGREGATES)
+        elif stage == "sort":
+            staged = contender.sort(["a"])
+        else:
+            staged = contender.window(WINDOW)
+        result = staged.columnar()
+        assert boundary_repr(result) == boundary_repr(without_objects(result))

@@ -34,6 +34,13 @@ def mixed_relation() -> AURelation:
     )
 
 
+def without_objects(columnar: ColumnarAURelation) -> ColumnarAURelation:
+    """Drop every column's carried range values: rows rebuild from the arrays."""
+    for column in columnar.columns:
+        column.objects = None
+    return columnar
+
+
 class TestColumnArray:
     def test_int_columns_use_int64(self):
         assert column_array([1, 2, 3]).dtype == np.int64
@@ -68,8 +75,7 @@ class TestConversionRoundTrip:
                 assert type(got.ub) is type(want.ub)
 
     def test_round_trip_without_value_cache(self):
-        columnar = ColumnarAURelation.from_relation(mixed_relation())
-        columnar._values = None  # force reconstruction from the arrays
+        columnar = without_objects(ColumnarAURelation.from_relation(mixed_relation()))
         assert columnar.to_relation()._rows == mixed_relation()._rows
 
     def test_empty_relation(self):
@@ -270,8 +276,7 @@ class TestTake:
         assert rows[1] == full[0]
 
     def test_take_without_value_cache(self):
-        columnar = ColumnarAURelation.from_relation(mixed_relation())
-        columnar._values = None
+        columnar = without_objects(ColumnarAURelation.from_relation(mixed_relation()))
         subset = columnar.take(np.array([1]))
         assert subset.to_relation()._rows == columnar.take([1]).to_relation()._rows
 

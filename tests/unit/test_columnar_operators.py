@@ -309,6 +309,15 @@ class TestColumnarPlan:
         reopened = ColumnarPlan(rows).project(["age"]).to_rows()
         assert reopened.schema.attributes == ("age",)
 
+    @pytest.mark.parametrize("bad", [5, None, "t", [1, 2]])
+    def test_non_relation_input_raises_plan_error(self, bad):
+        from repro.errors import PlanError
+
+        with pytest.raises(PlanError, match="a plan starts from an AURelation"):
+            ColumnarPlan(bad)
+        with pytest.raises(PlanError, match="a plan starts from an AURelation"):
+            ColumnarPlan(people()).union(bad)
+
     def test_plan_topk_rejects_negative_k(self):
         with pytest.raises(OperatorError, match="non-negative"):
             ColumnarPlan(people()).topk(["age"], -1)

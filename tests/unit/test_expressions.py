@@ -101,3 +101,46 @@ class TestBoundPreservation:
             from repro.core.expressions import Comparison
 
             Comparison("<>", const(1), const(2))
+
+
+# -- incomparable operand types ------------------------------------------------
+
+
+def _select_mixed(entry, column, op, value):
+    """``WHERE column op value`` over an int / str table through one entry point."""
+    from repro.core.expressions import Comparison
+    from repro.core.operators import select
+    from repro.core.relation import AURelation
+
+    table = AURelation.from_rows(["a", "s"], [((1, "p"), 1), ((2, "q"), 1)])
+    predicate = Comparison(op, attr(column), const(value))
+    if entry == "python":
+        return select(table, predicate, backend="python")
+    pytest.importorskip("numpy")
+    if entry == "columnar":
+        return select(table, predicate, backend="columnar")
+    if entry == "plan":
+        from repro.columnar import ColumnarPlan
+
+        return ColumnarPlan(table).select(predicate).to_rows()
+    from repro.sql import compile_sql
+
+    sql_op = "=" if op == "==" else op
+    return compile_sql(f"SELECT a FROM t WHERE {column} {sql_op} {value!r}", {"t": table}).run()
+
+
+@pytest.mark.parametrize("entry", ["python", "columnar", "plan", "sql"])
+@pytest.mark.parametrize(
+    "column, op, value, types",
+    [("a", ">", "x", "int > str"), ("s", ">", 1, "str > int"), ("a", "==", "x", "int == str")],
+    ids=["int-gt-str", "str-gt-int", "int-eq-str"],
+)
+def test_incomparable_types_raise_expression_error(entry, column, op, value, types):
+    with pytest.raises(ExpressionError, match=f"cannot evaluate {types}: "):
+        _select_mixed(entry, column, op, value)
+
+
+def test_incomparable_types_raise_expression_error_deterministically():
+    with pytest.raises(ExpressionError, match="cannot evaluate str >= int"):
+        attr("s").ge(const(1)).eval_det({"s": "x"})
+    assert attr("s").eq(const(1)).eval_det({"s": "x"}) is False

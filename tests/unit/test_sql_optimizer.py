@@ -233,6 +233,13 @@ def test_unknown_table_lists_the_catalog():
         compile_sql("SELECT v FROM nope", sample_catalog())
 
 
+@pytest.mark.parametrize("bad", [5, None, "t"])
+def test_non_relation_catalog_entry_names_the_table(bad):
+    catalog = dict(sample_catalog(), bad=bad)
+    with pytest.raises(SqlError, match="catalog table 'bad' is not a relation"):
+        compile_sql("SELECT v FROM t", catalog)
+
+
 def test_ambiguous_column_requires_qualification():
     with pytest.raises(SqlError, match="ambiguous column 'k'"):
         compile_sql("SELECT k FROM t JOIN s ON t.k = s.k", sample_catalog())
