@@ -78,6 +78,7 @@ __all__ = [
     "as_factorised",
     "fact_select",
     "fact_project",
+    "fact_narrow",
     "fact_extend",
     "fact_rename",
     "fact_cross",
@@ -246,6 +247,11 @@ class FactorisedAURelation:
             relation.schema, (FactorisedGroup((relation,), (None,)),)
         )
 
+    @property
+    def is_flat(self) -> bool:
+        """Whether this is one simple group: a plain columnar relation, wrapped."""
+        return len(self.groups) == 1 and self.groups[0].is_simple
+
     # -- geometry -------------------------------------------------------------
 
     def __len__(self) -> int:
@@ -281,7 +287,7 @@ class FactorisedAURelation:
         pointwise.  A trivial wrapper (one simple group over the full schema)
         returns its fragment with zero copies.
         """
-        if len(self.groups) == 1 and self.groups[0].is_simple:
+        if self.is_flat:
             fragment = self.groups[0].fragments[0]
             if fragment.schema == self.schema:
                 return fragment
@@ -326,8 +332,8 @@ class FactorisedAURelation:
 
     # -- gathering ------------------------------------------------------------
 
-    def gather_column(self, name: str) -> AttributeColumn:
-        """One attribute gathered over all logical pair rows."""
+    def column(self, name: str) -> AttributeColumn:
+        """One attribute gathered over all logical pair rows (zero-copy when flat)."""
         g, f = self._locate[name]
         group = self.groups[g]
         column = group.fragments[f].column(name)
@@ -371,7 +377,7 @@ class FactorisedAURelation:
         column is appended so stage outputs can be traced back to their
         source pair (the untouched fragments reattach through it).
         """
-        columns = [self.gather_column(name) for name in names]
+        columns = [self.column(name) for name in names]
         schema_names = tuple(names)
         if rowid is not None:
             rid = np.arange(len(self), dtype=np.int64)
@@ -522,6 +528,33 @@ def fact_project(
     return ops.merge_equal_rows(fact.slim_relation(schema.attributes))
 
 
+def fact_narrow(
+    fact: FactorisedAURelation, attributes: Sequence[str]
+) -> FactorisedAURelation:
+    """Columns restricted (and reordered) to ``attributes``, rows untouched.
+
+    Unlike :func:`fact_project`, equal hypercubes do not merge, so every later
+    stage sees the same rows in the same order.  Each fragment keeps only its
+    listed columns, sharing the arrays; fragments, index vectors and
+    multiplicities all stay, so a fragment left with no columns still
+    contributes its annotations to a lazy product.
+    """
+    schema = fact.schema.project(list(attributes))
+    groups = []
+    for group in fact.groups:
+        fragments = [
+            fragment.restrict([name for name in schema if name in fragment.schema])
+            for fragment in group.fragments
+        ]
+        groups.append(
+            FactorisedGroup(
+                fragments, group.indices,
+                group.mult_lb, group.mult_sg, group.mult_ub, size=group.size,
+            )
+        )
+    return FactorisedAURelation(schema, groups)
+
+
 def fact_extend(
     fact: FactorisedAURelation,
     name: str,
@@ -624,17 +657,19 @@ def fact_join(
 ) -> "FactorisedAURelation | ColumnarAURelation":
     """Equi-, sweep-, or band-join as matched-pair index vectors over the sides.
 
-    When a non-grid candidate enumeration qualifies — any ``on`` key certain
-    on one side (searchsorted), both sides uncertain but exactly vectorizable
-    (the range×range sweep), or a band window extractable from the predicate
-    of a key-less join (the shifted-endpoint sweep) — the result is a single
+    The one pair assembly behind every columnar join
+    (:func:`repro.columnar.operators.join` documents ``method``).  When a
+    non-grid candidate enumeration qualifies — any ``on`` key certain on one
+    side (searchsorted), both sides uncertain but exactly vectorizable (the
+    range×range sweep), or a band window extractable from the predicate of a
+    key-less join (the shifted-endpoint sweep) — the result is a single
     paired group holding *both* sides' fragments aligned by the surviving
     candidate pairs: only the key columns and the pair index vectors
-    materialise, never the payloads.  The gates are the same as the eager
-    kernel's (:func:`repro.columnar.operators.candidate_key_pairs` /
-    :func:`~repro.columnar.operators.band_candidate_pairs`); grid-method
-    requests and non-qualifying inputs expand both sides and delegate to the
-    eager join (automatic fallback, bit-identical by construction).
+    materialise, never the payloads.  An empty side yields an empty paired
+    group whatever the method.  Grid-method requests and non-qualifying
+    inputs expand both sides and run
+    :func:`~repro.columnar.operators.grid_join` (automatic fallback,
+    bit-identical by construction).
     """
     if on is None and predicate is None:
         raise OperatorError("join requires either a predicate or an `on` attribute list")
@@ -652,18 +687,23 @@ def fact_join(
             "the band join enumerates candidates from the predicate; drop the "
             "`on` keys or use method='auto'"
         )
-    left.schema.require(list(on or ()))
-    right.schema.require(list(on or ()))
+    keys = list(on or ())
+    left.schema.require(keys)
+    right.schema.require(keys)
 
+    if len(left) == 0 or len(right) == 0:
+        # No pairs can exist: assemble an empty candidate list (same schema and
+        # predicate errors as the grid, without its scratch).
+        empty = np.empty(0, dtype=np.int64)
+        return _fact_join_pairs(left, right, predicate, [], [], empty, empty)
     if method != "grid" and on:
-        keys = list(on)
-        left_keys = [left.gather_column(name) for name in keys]
-        right_keys = [right.gather_column(name) for name in keys]
+        left_keys = [left.column(name) for name in keys]
+        right_keys = [right.column(name) for name in keys]
         kernels = ("searchsorted", "sweep") if method == "auto" else (method,)
         candidates = ops.candidate_key_pairs(left_keys, right_keys, kernels=kernels)
         if candidates is not None:
             return _fact_join_pairs(
-                left, right, predicate, keys, left_keys, right_keys,
+                left, right, predicate, left_keys, right_keys,
                 candidates[0], candidates[1],
             )
         if method == "searchsorted":
@@ -683,13 +723,13 @@ def fact_join(
         if plan is not None:
             left_name, right_name, low, high = plan
             pairs = ops.band_candidate_pairs(
-                left.gather_column(left_name),
-                right.gather_column(right_name),
+                left.column(left_name),
+                right.column(right_name),
                 low,
                 high,
             )
         if pairs is not None:
-            return _fact_join_pairs(left, right, predicate, [], [], [], *pairs)
+            return _fact_join_pairs(left, right, predicate, [], [], *pairs)
         if method == "band":
             raise OperatorError(
                 "the band join requires an AND-tree predicate comparing a left "
@@ -697,19 +737,24 @@ def fact_join(
                 "NaN-free, exactly promotable numeric columns; use "
                 "method='grid' (or 'auto') for these inputs"
             )
-    return ops.join(left.expand(), right.expand(), predicate, on=on, method=method)
+    return ops.grid_join(left.expand(), right.expand(), predicate, on)
 
 
 def _fact_join_pairs(
     left: FactorisedAURelation,
     right: FactorisedAURelation,
     predicate: Expression | Callable[[AUTuple], RangeBool] | None,
-    on: list[str],
     left_keys: list[AttributeColumn],
     right_keys: list[AttributeColumn],
     left_rows: np.ndarray,
     right_rows: np.ndarray,
-) -> "FactorisedAURelation | ColumnarAURelation":
+) -> FactorisedAURelation:
+    """One paired group over the candidate pairs that possibly join.
+
+    Each candidate is re-checked exactly: range equality on the key columns,
+    then the predicate over a slim gather of the columns it reads.  Pairs
+    with a zero possible multiplicity drop out.
+    """
     schema, right_renamed = _disambiguated(left, right)
     n = len(left_rows)
     _record(2 * n)
@@ -743,10 +788,10 @@ def _fact_join_pairs(
         for name in names:
             position = schema.index_of(name)
             if position < n_left:
-                source = left.gather_column(left.schema.attributes[position])
+                source = left.column(left.schema.attributes[position])
                 columns.append(_take_column(source, left_rows, name))
             else:
-                source = right.gather_column(
+                source = right.column(
                     right.schema.attributes[position - n_left]
                 )
                 columns.append(_take_column(source, right_rows, name))
@@ -894,10 +939,10 @@ def _ranked_slim(
     ]
     tie = _fresh_name(fact.schema, *avoid)
     rowid = _fresh_name(fact.schema, tie, *avoid)
-    columns = [fact.gather_column(name) for name in order_names]
+    columns = [fact.column(name) for name in order_names]
     ranks = _tiebreak_ranks(fact, order_names)
     columns.append(AttributeColumn(tie, ranks, ranks, ranks))
-    columns.extend(fact.gather_column(name) for name in extras)
+    columns.extend(fact.column(name) for name in extras)
     rid = np.arange(len(fact), dtype=np.int64)
     columns.append(AttributeColumn(rowid, rid, rid, rid))
     mult_lb, mult_sg, mult_ub = fact.pair_multiplicities()
@@ -972,6 +1017,7 @@ def fact_sort(
     multiplicities; the emitted row order, duplicate split, and replaced
     multiplicities are therefore identical on the slim relation, and the
     untouched fragments reattach through a row-id column that rode along.
+    A flat relation runs the eager stage directly.
     """
     from repro.columnar.sort import sort_stage
 
@@ -979,9 +1025,10 @@ def fact_sort(
         raise OperatorError("sort requires at least one order-by attribute")
     fact.schema.require(list(order_by))
     fact.schema.extend(position_attribute)  # validates the output name early
-    if _any_fragment_nan(fact):
-        # NaN rank codes must be computed on one shared value pool to tie
-        # consistently; the eager stage (the reference) handles that case.
+    if fact.is_flat or _any_fragment_nan(fact):
+        # A flat relation has no fragments to reattach.  NaN rank codes must
+        # be computed on one shared value pool to tie consistently.  The eager
+        # stage (the reference) handles both cases.
         return FactorisedAURelation.from_columnar(
             sort_stage(
                 fact.expand(),
@@ -1015,11 +1062,11 @@ def fact_window(
 ) -> "FactorisedAURelation | ColumnarAURelation":
     """Windowed aggregation over a slim gather of the referenced columns.
 
-    Only applies the slim sweep when no fragment column carries NaN anywhere
-    (the eager classifier's NaN check is global — unreferenced columns enter
-    the ``<ᵗᵒᵗᵃˡ_O`` tiebreakers of its fallback sorts) and the classifier
-    picks the vectorized sweep; every other classification expands and runs
-    the eager stage, which *is* the reference implementation.
+    Only applies the slim sweep when the relation is not flat, no fragment
+    column carries NaN anywhere (the eager classifier's NaN check is global —
+    unreferenced columns enter the ``<ᵗᵒᵗᵃˡ_O`` tiebreakers of its fallback
+    sorts) and the classifier picks the vectorized sweep; every other case
+    expands and runs the eager stage, which *is* the reference implementation.
     """
     from repro.columnar.window import _classify, _partitioned_sweep, window_stage
 
@@ -1032,7 +1079,9 @@ def fact_window(
         raise WindowSpecError(
             f"output attribute {spec.output!r} already exists in the schema"
         )
-    if _any_fragment_nan(fact):
+    if fact.is_flat or _any_fragment_nan(fact):
+        # A flat relation has no fragments to reattach: the eager stage skips
+        # the slim gather's tiebreak and row-id columns.
         return window_stage(fact.expand(), spec)
     extras = list(spec.partition_by) + (
         [spec.attribute] if spec.attribute not in (None, "*") else []

@@ -71,7 +71,7 @@ from repro.columnar.sort import ranked_emission
 from repro.core.expressions import attr
 from repro.core.multiplicity import Multiplicity
 from repro.core.relation import AURelation
-from repro.errors import OperatorError
+from repro.errors import OperatorError, PlanError
 
 __all__ = ["IncrementalView", "as_delta", "merge_delta"]
 
@@ -570,6 +570,10 @@ class IncrementalView:
         *,
         incremental: bool = True,
     ):
+        if not isinstance(base, AURelation):
+            raise OperatorError(f"a view base must be an AURelation, got {type(base).__name__}")
+        if not isinstance(spec, PlanSpec):
+            raise PlanError(f"a view spec must be a PlanSpec, got {type(spec).__name__}")
         self._spec = spec
         self._incremental = bool(incremental)
         self._split = _split_spec(spec) if self._incremental else None

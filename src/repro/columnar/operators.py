@@ -13,11 +13,13 @@ whole operator pipeline composes without materialising a row-major
 * :func:`distinct` — bound-preserving duplicate elimination (blocked pairwise
   overlap masks decide which tuples may keep a certain copy),
 * :func:`extend` / :func:`rename` — computed / relabelled columns,
-* :func:`cross` / :func:`join` — pair enumeration via the bulk ``np.repeat``
-  × ``np.tile`` grid, or — for equi-joins whose keys are certain on one side
-  — a memory-safe sort/searchsorted path that materialises only the
-  possible-overlap match candidates, with vectorized equality / predicate
+* :func:`cross` / :func:`grid_join` — pair enumeration via the bulk
+  ``np.repeat`` × ``np.tile`` grid, with vectorized equality / predicate
   masks filtering the pointwise multiplicity products,
+* :func:`join` — the row-major entry point over the one pair assembly,
+  :func:`repro.columnar.factorised.fact_join`, which enumerates only the
+  possible-overlap candidates through the searchsorted / sweep / band
+  kernels below and falls back to the grid,
 * :func:`groupby_aggregate` — grouped aggregation over lexsort group codes
   with segmented prefix-sum / min-max reductions and bound-preserving
   ``N³`` handling of uncertain group membership.
@@ -31,7 +33,7 @@ suite under ``tests/property/`` pins this on randomized inputs).
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -41,6 +43,7 @@ from repro.columnar.relation import (
     FLOAT64_EXACT_MAX,
     AttributeColumn,
     ColumnarAURelation,
+    as_columnar,
     column_array,
     profile_components,
 )
@@ -56,7 +59,10 @@ from repro.core.expressions import (
 from repro.core.ranges import RangeValue
 from repro.core.schema import Schema
 from repro.core.tuples import AUTuple
-from repro.errors import OperatorError, SchemaError
+from repro.errors import SchemaError
+
+if TYPE_CHECKING:
+    from repro.columnar.factorised import FactorisedAURelation
 
 __all__ = [
     "select",
@@ -67,10 +73,10 @@ __all__ = [
     "distinct",
     "cross",
     "join",
+    "grid_join",
     "groupby_aggregate",
     "merge_equal_rows",
     "candidate_key_pairs",
-    "searchsorted_candidate_pairs",
     "band_join_plan",
     "band_candidate_pairs",
     "planned_join_kernel",
@@ -311,67 +317,33 @@ def join(
     with the exact equality / predicate masks (zero-multiplicity pairs are
     dropped, exactly as the grid masks them out).  The differential suite
     cross-checks all kernels against the grid and the Python backend.
+
+    Pairs assemble in :func:`repro.columnar.factorised.fact_join`, the one
+    join path; the result expands here.
     """
-    if on is None and predicate is None:
-        raise OperatorError("join requires either a predicate or an `on` attribute list")
-    if method not in ("auto", "grid", "searchsorted", "sweep", "band"):
-        raise OperatorError(
-            f"unknown join method {method!r}; expected 'auto', 'grid', "
-            "'searchsorted', 'sweep' or 'band'"
-        )
-    if method in ("searchsorted", "sweep") and not on:
-        raise OperatorError(f"the {method} equi-join requires an `on` attribute list")
-    if method == "band" and predicate is None:
-        raise OperatorError("the band join requires a predicate")
-    if method == "band" and on:
-        raise OperatorError(
-            "the band join enumerates candidates from the predicate; drop the "
-            "`on` keys or use method='auto'"
-        )
-    left.schema.require(list(on or ()))
-    right.schema.require(list(on or ()))
+    from repro.columnar.factorised import as_factorised, fact_join
 
-    if len(left) == 0 or len(right) == 0:
-        # n=0 short-circuit: no pairs can exist — run the pair assembler on
-        # an empty candidate list (same schema, masks, and predicate errors
-        # as the grid, without its repeat/tile scratch over the non-empty
-        # side).
-        empty = np.empty(0, dtype=np.int64)
-        return _join_pairs(left, right, predicate, list(on or ()), empty, empty)
-
-    if method != "grid" and on:
-        kernels = ("searchsorted", "sweep") if method == "auto" else (method,)
-        candidates = candidate_key_pairs(
-            [left.column(name) for name in on],
-            [right.column(name) for name in on],
-            kernels=kernels,
+    return as_columnar(
+        fact_join(
+            as_factorised(left), as_factorised(right), predicate, on=on, method=method
         )
-        if candidates is not None:
-            left_rows, right_rows, _kernel = candidates
-            return _join_pairs(left, right, predicate, list(on), left_rows, right_rows)
-        if method == "searchsorted":
-            raise OperatorError(
-                "searchsorted equi-join requires a certain (lb == sg == ub) "
-                "key column on one side and NaN-free, exactly promotable numeric "
-                "key columns; use method='grid' (or 'auto') for these inputs"
-            )
-        if method == "sweep":
-            raise OperatorError(
-                "the sweep equi-join requires NaN-free, exactly promotable "
-                "numeric key columns; use method='grid' (or 'auto') for these inputs"
-            )
-    if method in ("auto", "band") and not on and predicate is not None:
-        band = _band_join_pairs(left, right, predicate)
-        if band is not None:
-            return _join_pairs(left, right, predicate, [], *band)
-        if method == "band":
-            raise OperatorError(
-                "the band join requires an AND-tree predicate comparing a left "
-                "attribute against a (constant-shifted) right attribute over "
-                "NaN-free, exactly promotable numeric columns; use "
-                "method='grid' (or 'auto') for these inputs"
-            )
+    )
 
+
+def grid_join(
+    left: ColumnarAURelation,
+    right: ColumnarAURelation,
+    predicate: Expression | Callable[[AUTuple], RangeBool] | None,
+    on: Sequence[str] | None,
+) -> ColumnarAURelation:
+    """The exact ``|L| × |R|`` pair-grid join, the fallback for every input.
+
+    Expands the full product (``np.repeat`` × ``np.tile``) and filters it with
+    the vectorized equality and predicate masks; object-dtype, NaN and lossy
+    key columns compare pair by pair through the scalar ``RangeValue.eq``.
+    :func:`~repro.columnar.factorised.fact_join` validates the arguments and
+    falls back to this.
+    """
     product = cross(left, right)
     n = len(product)
     certain = np.ones(n, dtype=bool)
@@ -435,11 +407,11 @@ def candidate_key_pairs(
     vectorizable (no object dtypes, NaN, or lossy int/float promotion), and
     ``"searchsorted"`` additionally needs a certain side on some key.
 
-    Takes bare key columns (not relations) so the factorised layer
-    (:mod:`repro.columnar.factorised`) can enumerate candidates over gathered
-    pair columns through the identical kernels.  Pairs return in the pair
-    grid's left-outer / right-inner enumeration order, so the assembled rows
-    line up with the grid kernel (and the Python backend).
+    Takes bare key columns (not relations): the pair assembly,
+    :func:`repro.columnar.factorised.fact_join`, gathers them from either
+    layout.  Pairs return in the pair grid's left-outer / right-inner
+    enumeration order, so the assembled rows line up with the grid kernel
+    (and the Python backend).
     """
     from repro.columnar.kernels import interval_overlap_pairs, interval_point_match_pairs
 
@@ -486,17 +458,6 @@ def candidate_key_pairs(
     # the result rows line up with the grid kernel (and the Python backend).
     order = lexsort_stable((right_rows, left_rows))
     return left_rows[order], right_rows[order], kernel
-
-
-def searchsorted_candidate_pairs(
-    left_columns: Sequence[AttributeColumn],
-    right_columns: Sequence[AttributeColumn],
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Certain-side candidate pairs only (:func:`candidate_key_pairs` subset)."""
-    result = candidate_key_pairs(left_columns, right_columns, kernels=("searchsorted",))
-    if result is None:
-        return None
-    return result[0], result[1]
 
 
 # ---------------------------------------------------------------------------
@@ -649,21 +610,6 @@ def band_candidate_pairs(
     return left_rows[order], right_rows[order]
 
 
-def _band_join_pairs(
-    left: ColumnarAURelation,
-    right: ColumnarAURelation,
-    predicate: Expression | Callable[[AUTuple], RangeBool],
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Band candidates of a predicate join, or ``None`` when no band applies."""
-    plan = band_join_plan(predicate, left.schema, right.schema)
-    if plan is None:
-        return None
-    left_name, right_name, low, high = plan
-    return band_candidate_pairs(
-        left.column(left_name), right.column(right_name), low, high
-    )
-
-
 def _shifted_endpoint(values: np.ndarray, shift: int | float, direction: int) -> np.ndarray:
     """``values + shift``, over-approximated one ULP in ``direction`` for floats.
 
@@ -711,8 +657,8 @@ def _band_vectorizable(
 
 
 def planned_join_kernel(
-    left: ColumnarAURelation,
-    right: ColumnarAURelation,
+    left: "ColumnarAURelation | FactorisedAURelation",
+    right: "ColumnarAURelation | FactorisedAURelation",
     predicate: Expression | Callable[[AUTuple], RangeBool] | None = None,
     *,
     on: Sequence[str] | None = None,
@@ -720,10 +666,12 @@ def planned_join_kernel(
     """The pair-enumeration kernel ``method="auto"`` would select (no pairs built).
 
     Returns ``"searchsorted"``, ``"sweep"``, ``"band"``, or ``"grid"`` —
-    the benchmark runners record it per contender, and the property suite
-    asserts non-grid selection on qualifying inputs.  Costs one dtype
-    profile + certainty scan per key column; empty inputs report the kernel
-    the non-empty shape would pick (the join itself short-circuits them).
+    the benchmark runners and the SQL compiler record it per join, and the
+    property suite asserts non-grid selection on qualifying inputs.  Costs
+    one dtype profile + certainty scan per key column; empty inputs report
+    the kernel the non-empty shape would pick (the join itself
+    short-circuits them).  Either layout works: a factorised input gathers
+    only the key columns, never expanding.
     """
     keys = list(on or ())
     left.schema.require(keys)
@@ -752,66 +700,6 @@ def planned_join_kernel(
             ):
                 return "band"
     return "grid"
-
-
-def _join_pairs(
-    left: ColumnarAURelation,
-    right: ColumnarAURelation,
-    predicate: Expression | Callable[[AUTuple], RangeBool] | None,
-    on: list[str],
-    left_rows: np.ndarray,
-    right_rows: np.ndarray,
-) -> ColumnarAURelation:
-    """Assemble the join result from explicit match-candidate pairs.
-
-    Bit-identical to the grid kernel restricted to these pairs: candidate
-    enumeration only skips pairs whose first-key ranges cannot overlap, and
-    those carry a zero possible multiplicity on the grid path too (they are
-    masked out of its result).
-    """
-    schema = left.schema.concat(right.schema, disambiguate=True)
-    columns = [
-        column.take(left_rows, name) for name, column in zip(schema.attributes, left.columns)
-    ]
-    for name, column in zip(schema.attributes[len(columns) :], right.columns):
-        columns.append(column.take(right_rows, name))
-    product = ColumnarAURelation(
-        schema,
-        columns,
-        left.mult_lb[left_rows] * right.mult_lb[right_rows],
-        left.mult_sg[left_rows] * right.mult_sg[right_rows],
-        left.mult_ub[left_rows] * right.mult_ub[right_rows],
-    )
-
-    n = len(product)
-    certain = np.ones(n, dtype=bool)
-    sg = np.ones(n, dtype=bool)
-    possible = np.ones(n, dtype=bool)
-    for name in on:
-        left_col = left.column(name)
-        right_col = right.column(name)
-        eq_cert, eq_sg, eq_poss = _equality_triple_arrays(
-            left_col.lb[left_rows],
-            left_col.sg[left_rows],
-            left_col.ub[left_rows],
-            right_col.lb[right_rows],
-            right_col.sg[right_rows],
-            right_col.ub[right_rows],
-        )
-        certain &= eq_cert
-        sg &= eq_sg
-        possible &= eq_poss
-    if predicate is not None:
-        p_cert, p_sg, p_poss = predicate_masks(product, predicate)
-        certain &= p_cert
-        sg &= p_sg
-        possible &= p_poss
-
-    mult_lb = np.where(certain, product.mult_lb, 0)
-    mult_sg = np.where(sg, product.mult_sg, 0)
-    mult_ub = np.where(possible, product.mult_ub, 0)
-    keep = np.flatnonzero(mult_ub > 0)
-    return product.with_multiplicities(mult_lb, mult_sg, mult_ub).take(keep)
 
 
 def _pairwise_equality(

@@ -51,7 +51,7 @@ from typing import Callable, Mapping, Sequence
 from repro.columnar import factorised as fx
 from repro.columnar import operators as ops
 from repro.columnar.factorised import FactorisedAURelation, as_factorised
-from repro.columnar.relation import ColumnarAURelation, as_columnar
+from repro.columnar.relation import ColumnarAURelation
 from repro.core.booleans import RangeBool
 from repro.core.expressions import Expression
 from repro.core.ranges import RangeValue
@@ -89,10 +89,12 @@ def _validate_k(k: object) -> int:
 class ColumnarPlan:
     """A fluent, immutable chain of columnar operators.
 
-    Each method returns a new plan wrapping the resulting
-    :class:`ColumnarAURelation`; the wrapped relation is exposed through
-    :meth:`columnar` (no conversion) and :meth:`to_rows` (the row-major
-    plan boundary).
+    A plan always holds a :class:`FactorisedAURelation`: a base table is its
+    flat, one-group case (wrapped with no copy), and a join or cross product
+    keeps its pair layout.  Each method is one call into
+    :mod:`repro.columnar.factorised` and returns a new plan; the intermediate
+    is exposed through :meth:`factorised` (no conversion), :meth:`columnar`
+    (expanded) and :meth:`to_rows` (the row-major plan boundary).
 
     Every stage runs in the calling process.  ``workers`` is accepted for
     compatibility only: ``1`` is the sole valid value, and anything else
@@ -109,52 +111,40 @@ class ColumnarPlan:
     ):
         require_serial(workers)
         if isinstance(relation, ColumnarPlan):
-            self._relation = relation._relation
-        elif isinstance(relation, FactorisedAURelation):
-            self._relation = relation
-        elif isinstance(relation, (AURelation, ColumnarAURelation)):
-            self._relation = as_columnar(relation)
-        else:
+            relation = relation._relation
+        elif not isinstance(relation, (AURelation, ColumnarAURelation, FactorisedAURelation)):
             raise PlanError(
                 "a plan starts from an AURelation, ColumnarAURelation, "
                 f"FactorisedAURelation or ColumnarPlan, got {type(relation).__name__}"
             )
-
-    def _expanded(self) -> ColumnarAURelation:
-        """The current intermediate as an expanded columnar relation."""
-        if isinstance(self._relation, FactorisedAURelation):
-            return self._relation.expand()
-        return self._relation
+        self._relation: FactorisedAURelation = as_factorised(relation)
 
     # -- boundary accessors -------------------------------------------------
 
     def columnar(self) -> ColumnarAURelation:
         """The current intermediate result as an expanded columnar relation.
 
-        Plain intermediates return with no conversion; a factorised
-        intermediate (downstream of a :meth:`join` / :meth:`cross`) expands
-        here — :meth:`factorised` exposes it without materialisation.
+        A flat intermediate returns its relation with no conversion; a paired
+        one (downstream of a :meth:`join` / :meth:`cross`) expands here —
+        :meth:`factorised` exposes it without materialisation.
         """
-        return self._expanded()
+        return self._relation.expand()
 
     def factorised(self) -> FactorisedAURelation:
         """The current intermediate as a factorised relation (no expansion)."""
-        return as_factorised(self._relation)
+        return self._relation
 
     def to_rows(self) -> AURelation:
         """Materialise the plan result as a row-major relation (plan boundary).
 
-        The single point a plan converts: a factorised intermediate expands
-        here (the only materialisation point of the factorised
-        representation), then converts to row-major.  The result is an
-        ordinary :class:`~repro.core.relation.AURelation`; chaining further
-        plan stages onto it raises :class:`~repro.errors.PlanError` — wrap
-        it in a fresh ``ColumnarPlan`` to keep querying it.
+        The single point a plan converts: the intermediate expands here (the
+        only materialisation point of the factorised representation, free on
+        a flat one), then converts to row-major.  The result is an ordinary
+        :class:`~repro.core.relation.AURelation`; chaining further plan
+        stages onto it raises :class:`~repro.errors.PlanError` — wrap it in a
+        fresh ``ColumnarPlan`` to keep querying it.
         """
-        relation = self._relation
-        if isinstance(relation, FactorisedAURelation):
-            relation = relation.expand()
-        result = relation.to_relation()
+        result = self._relation.to_relation()
         boundary = _MaterialisedPlanResult(result.schema)
         boundary._rows = result._rows
         return boundary
@@ -167,14 +157,10 @@ class ColumnarPlan:
     def select(
         self, predicate: Expression | Callable[[AUTuple], RangeBool]
     ) -> "ColumnarPlan":
-        if isinstance(self._relation, FactorisedAURelation):
-            return ColumnarPlan(fx.fact_select(self._relation, predicate))
-        return ColumnarPlan(ops.select(self._relation, predicate))
+        return ColumnarPlan(fx.fact_select(self._relation, predicate))
 
     def project(self, attributes: Sequence[str]) -> "ColumnarPlan":
-        if isinstance(self._relation, FactorisedAURelation):
-            return ColumnarPlan(fx.fact_project(self._relation, attributes))
-        return ColumnarPlan(ops.project(self._relation, attributes))
+        return ColumnarPlan(fx.fact_project(self._relation, attributes))
 
     def narrow(self, attributes: Sequence[str]) -> "ColumnarPlan":
         """Drop columns *without* merging rows (the SQL pruner's projection).
@@ -184,31 +170,26 @@ class ColumnarPlan:
         every downstream stage (including the tie-break-sensitive ranked
         stages fed indirectly through joins and aggregates) sees the same
         rows in the same order, just fewer columns.  The kept columns are
-        shared, so this costs no per-row work.  On a factorised intermediate
-        it is a no-op: fragments only gather the columns later stages
-        actually touch, so there is nothing to drop.
+        shared and a paired layout stays paired, so this costs no per-row
+        work.
         """
-        if isinstance(self._relation, FactorisedAURelation):
-            return self
-        return ColumnarPlan(self._relation.restrict(list(attributes)))
+        return ColumnarPlan(fx.fact_narrow(self._relation, attributes))
 
     def extend(
         self, name: str, expression: Expression | Callable[[AUTuple], RangeValue]
     ) -> "ColumnarPlan":
-        if isinstance(self._relation, FactorisedAURelation):
-            return ColumnarPlan(fx.fact_extend(self._relation, name, expression))
-        return ColumnarPlan(ops.extend(self._relation, name, expression))
+        return ColumnarPlan(fx.fact_extend(self._relation, name, expression))
 
     def rename(self, mapping: Mapping[str, str]) -> "ColumnarPlan":
-        if isinstance(self._relation, FactorisedAURelation):
-            return ColumnarPlan(fx.fact_rename(self._relation, mapping))
-        return ColumnarPlan(ops.rename(self._relation, mapping))
+        return ColumnarPlan(fx.fact_rename(self._relation, mapping))
 
     def distinct(self) -> "ColumnarPlan":
-        return ColumnarPlan(ops.distinct(self._expanded()))
+        return ColumnarPlan(ops.distinct(self._relation.expand()))
 
     def union(self, other: "ColumnarPlan | AURelation | ColumnarAURelation") -> "ColumnarPlan":
-        return ColumnarPlan(ops.union(self._expanded(), _unwrap(other)))
+        return ColumnarPlan(
+            ops.union(self._relation.expand(), ColumnarPlan(other).columnar())
+        )
 
     def cross(self, other: "ColumnarPlan | AURelation | ColumnarAURelation") -> "ColumnarPlan":
         """Cross product as a factorised relation — no pair materialisation.
@@ -218,7 +199,7 @@ class ColumnarPlan:
         later stage genuinely spans both sides).
         """
         return ColumnarPlan(
-            fx.fact_cross(as_factorised(self._relation), _unwrap_factorised(other))
+            fx.fact_cross(self._relation, ColumnarPlan(other).factorised())
         )
 
     def join(
@@ -243,13 +224,13 @@ class ColumnarPlan:
         A join with a qualifying non-grid kernel stays factorised: the
         matched pairs are kept as index vectors into the two inputs'
         fragments and only expand at :meth:`to_rows`.  Non-qualifying joins
-        (object-dtype keys, ``"grid"``) fall back to the eager expanded
-        kernel automatically.
+        (object-dtype keys, ``"grid"``) fall back to the grid join
+        automatically.
         """
         return ColumnarPlan(
             fx.fact_join(
-                as_factorised(self._relation),
-                _unwrap_factorised(other),
+                self._relation,
+                ColumnarPlan(other).factorised(),
                 predicate,
                 on=on,
                 method=method,
@@ -266,11 +247,9 @@ class ColumnarPlan:
         Semantics and ``aggregates`` format as in
         :func:`repro.core.operators.groupby_aggregate`.
         """
-        if isinstance(self._relation, FactorisedAURelation):
-            return ColumnarPlan(
-                fx.fact_groupby_aggregate(self._relation, group_by, aggregates)
-            )
-        return ColumnarPlan(ops.groupby_aggregate(self._relation, group_by, aggregates))
+        return ColumnarPlan(
+            fx.fact_groupby_aggregate(self._relation, group_by, aggregates)
+        )
 
     # -- ranking / window stages (columnar in, columnar out) ----------------
 
@@ -287,19 +266,8 @@ class ColumnarPlan:
         chaining (e.g. select on the position, window over it) without a
         row-major round trip.
         """
-        from repro.columnar.sort import sort_stage
-
-        if isinstance(self._relation, FactorisedAURelation):
-            return ColumnarPlan(
-                fx.fact_sort(
-                    self._relation,
-                    order_by,
-                    position_attribute=position_attribute,
-                    descending=descending,
-                )
-            )
         return ColumnarPlan(
-            sort_stage(
+            fx.fact_sort(
                 self._relation,
                 order_by,
                 position_attribute=position_attribute,
@@ -316,29 +284,17 @@ class ColumnarPlan:
         descending: bool = False,
     ) -> "ColumnarPlan":
         """Uncertain top-k over the columnar kernels (stays columnar)."""
-        from repro.columnar.sort import sort_stage
         from repro.core.expressions import attr
 
         k = _validate_k(k)
-        if isinstance(self._relation, FactorisedAURelation):
-            ranked_fact = fx.fact_sort(
-                self._relation,
-                order_by,
-                k=k,
-                position_attribute=position_attribute,
-                descending=descending,
-            )
-            return ColumnarPlan(
-                fx.fact_select(ranked_fact, attr(position_attribute).lt(k))
-            )
-        ranked = sort_stage(
+        ranked = fx.fact_sort(
             self._relation,
             order_by,
             k=k,
             position_attribute=position_attribute,
             descending=descending,
         )
-        return ColumnarPlan(ops.select(ranked, attr(position_attribute).lt(k)))
+        return ColumnarPlan(fx.fact_select(ranked, attr(position_attribute).lt(k)))
 
     def window(self, spec: WindowSpec) -> "ColumnarPlan":
         """Uncertain windowed aggregation over the columnar kernels (stays columnar).
@@ -347,11 +303,7 @@ class ColumnarPlan:
         past the window (e.g. ``window → select → window``, the composed
         RA⁺ setting) without re-converting between the layouts.
         """
-        from repro.columnar.window import window_stage
-
-        if isinstance(self._relation, FactorisedAURelation):
-            return ColumnarPlan(fx.fact_window(self._relation, spec))
-        return ColumnarPlan(window_stage(self._relation, spec))
+        return ColumnarPlan(fx.fact_window(self._relation, spec))
 
 
 #: Stage names guarded on materialised plan results (kept in sync with the
@@ -535,10 +487,16 @@ class PlanSpec:
         The walk order matches :meth:`shape_key`, so
         ``spec.bind(spec.shape_key()[1]) == spec``; binding a different
         parameter tuple re-targets every literal without re-deriving the
-        stage structure.  Raises :class:`~repro.errors.PlanError` when the
-        parameter count does not match the spec's slots.
+        stage structure.  Raises :class:`~repro.errors.PlanError` when
+        ``params`` is not a sequence or its length does not match the spec's
+        slots.
         """
-        supply = iter(params)
+        try:
+            supply = iter(params)
+        except TypeError:
+            raise PlanError(
+                f"bind() takes a sequence of parameters, got {type(params).__name__}"
+            ) from None
         stages = []
         for name, args, kwargs in self.stages:
             stages.append(
@@ -633,17 +591,3 @@ def _rebind(value, supply):
     if isinstance(value, tuple):
         return tuple(_rebind(v, supply) for v in value)
     return value
-
-
-def _unwrap(
-    other: "ColumnarPlan | AURelation | ColumnarAURelation",
-) -> ColumnarAURelation:
-    """``other`` as an expanded columnar relation (for eager binary stages)."""
-    return ColumnarPlan(other)._expanded()
-
-
-def _unwrap_factorised(
-    other: "ColumnarPlan | AURelation | ColumnarAURelation | FactorisedAURelation",
-) -> FactorisedAURelation:
-    """``other`` as a factorised relation, keeping its layout (no expansion)."""
-    return ColumnarPlan(other).factorised()

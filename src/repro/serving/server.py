@@ -55,7 +55,10 @@ class QueryServer:
     mutation), and :meth:`query_async` exposes the same read path as a
     coroutine for async front ends.  ``workers`` is accepted for
     compatibility only; any value but ``1`` raises
-    :class:`~repro.errors.PlanError`.
+    :class:`~repro.errors.PlanError`.  A base that is not an
+    :class:`~repro.core.relation.AURelation`, an ad-hoc spec that is not a
+    :class:`PlanSpec` and query parameters that are not a sequence raise
+    :class:`~repro.errors.ServingError`.
     """
 
     def __init__(
@@ -67,6 +70,8 @@ class QueryServer:
         incremental: bool = True,
     ):
         require_serial(workers)
+        if not isinstance(base, AURelation):
+            raise ServingError(f"the base must be an AURelation, got {type(base).__name__}")
         self._lock = threading.RLock()
         self._base = base.copy()
         self._incremental = bool(incremental)
@@ -118,6 +123,8 @@ class QueryServer:
 
     def query_spec(self, spec: PlanSpec) -> AURelation:
         """Answer an ad-hoc (non-registered) spec, still through the cache."""
+        if not isinstance(spec, PlanSpec):
+            raise ServingError(f"query_spec() takes a PlanSpec, got {type(spec).__name__}")
         shape, params = spec.shape_key()
         with self._lock:
             key = (shape, params)
@@ -181,7 +188,7 @@ class QueryServer:
         """The cached view for a key, without building or touching recency."""
         with self._lock:
             template, shape = self._require_template(name)
-            return self._cache.peek((shape, tuple(params)))
+            return self._cache.peek((shape, _as_params(params)))
 
     # -- internals -----------------------------------------------------------
 
@@ -194,7 +201,7 @@ class QueryServer:
 
     def _view(self, name: str, params: Sequence) -> IncrementalView:
         template, shape = self._require_template(name)
-        params = tuple(params)
+        params = _as_params(params)
         key = (shape, params)
         view = self._cache.get(key)
         if view is not None:
@@ -206,3 +213,13 @@ class QueryServer:
         view = IncrementalView(self._base, spec, incremental=self._incremental)
         self._cache.put(key, view)
         return view
+
+
+def _as_params(params: Sequence) -> tuple:
+    """A query's parameters as a tuple (the cache key's second half)."""
+    try:
+        return tuple(params)
+    except TypeError:
+        raise ServingError(
+            f"query parameters must be a sequence, got {type(params).__name__}"
+        ) from None

@@ -615,6 +615,7 @@ def _run_python(node: L.LogicalNode, catalog: Mapping) -> AURelation:
 
 
 def _emit_columnar(node: L.LogicalNode, catalog: Mapping, kernels: list):
+    from repro.columnar.operators import planned_join_kernel
     from repro.columnar.plan import ColumnarPlan
 
     if isinstance(node, L.Scan):
@@ -628,7 +629,9 @@ def _emit_columnar(node: L.LogicalNode, catalog: Mapping, kernels: list):
         right = _emit_columnar(node.right, catalog, kernels)
         if node.method == "auto":
             kernels.append(
-                _planned_kernel(left._relation, right._relation, node.predicate, node.on)
+                planned_join_kernel(
+                    left.factorised(), right.factorised(), node.predicate, on=node.on
+                )
             )
         else:
             kernels.append(node.method)
@@ -665,44 +668,6 @@ def _emit_columnar(node: L.LogicalNode, catalog: Mapping, kernels: list):
             dict(node.mapping)
         )
     raise TypeError(f"unknown logical node {type(node).__name__}")
-
-
-def _planned_kernel(left, right, predicate, on) -> str:
-    """The kernel ``method="auto"`` resolves for a join's two inputs.
-
-    Mirrors :func:`repro.columnar.operators.planned_join_kernel` but reads
-    key columns through ``gather_column`` when an input is still factorised,
-    so reporting never forces an expansion.
-    """
-    from repro.columnar import operators as ops
-    from repro.columnar.factorised import FactorisedAURelation
-
-    def column(relation, name):
-        if isinstance(relation, FactorisedAURelation):
-            return relation.gather_column(name)
-        return relation.column(name)
-
-    keys = list(on or ())
-    empty = len(left) == 0 or len(right) == 0
-    if keys:
-        if empty:
-            return "searchsorted"
-        pairs = [(column(left, k), column(right, k)) for k in keys]
-        if all(ops._equality_vectorizable(lc, rc) for lc, rc in pairs):
-            for lc, rc in pairs:
-                if ops._column_certain(lc) or ops._column_certain(rc):
-                    return "searchsorted"
-            return "sweep"
-        return "grid"
-    if predicate is not None:
-        plan = ops.band_join_plan(predicate, left.schema, right.schema)
-        if plan is not None:
-            left_name, right_name, low, high = plan
-            if empty or ops._band_vectorizable(
-                column(left, left_name), column(right, right_name), low, high
-            ):
-                return "band"
-    return "grid"
 
 
 # -- public API --------------------------------------------------------------

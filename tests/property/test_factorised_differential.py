@@ -1,15 +1,16 @@
-"""Three-way differential: factorised plans vs expanded plans vs Python.
+"""Three-way differential: paired factorised plans vs flat plans vs Python.
 
-Randomized ``select -> join -> {select, project, groupby, window}`` chains
-run through three independent executions:
+Randomized ``select -> join -> {select, project, narrow, groupby, window,
+sort}`` chains run through three independent executions:
 
-* **factorised** — one chained :class:`~repro.columnar.plan.ColumnarPlan`
+* **paired** — one chained :class:`~repro.columnar.plan.ColumnarPlan`
   whose join emits a :class:`~repro.columnar.factorised.FactorisedAURelation`
-  (fragments plus pair indices; post-join stages push down into fragments or
-  operate on slim gathers, never the full expanded product);
-* **expanded** — the same plan expanded right after the join
-  (``plan.columnar()`` is a sanctioned materialisation point), with the
-  post-join stage applied to the expanded :class:`ColumnarAURelation`; and
+  paired group (fragments plus pair indices; post-join stages push down into
+  fragments or operate on slim gathers, never the full expanded product);
+* **flat** — the same plan expanded right after the join
+  (``plan.columnar()`` is a sanctioned materialisation point) and wrapped
+  again, so the post-join stage runs on the flat, one-group layout, where
+  the ranked stages take the eager kernels; and
 * **python** — the tuple-at-a-time reference operators.
 
 All three must agree bit for bit at the relation boundary (same hypercubes,
@@ -60,7 +61,7 @@ SETTINGS = settings(max_examples=60, deadline=None)
 #: ``<ᵗᵒᵗᵃˡ_O`` comparator into one strict column and passes it as the stage
 #: kernels' sole non-order-by sort key (``strict_tiebreak``), which must stay
 #: bit-identical to the eager rank-coded key stack.
-STAGES = ("select", "project", "groupby", "window", "sort")
+STAGES = ("select", "project", "narrow", "groupby", "window", "sort")
 
 GROUPBY_AGGREGATES = [("count", "*", "n"), ("sum", "b", "s")]
 WINDOW = WindowSpec(
@@ -80,6 +81,9 @@ def run_python(left, right, threshold, stage):
         return select(result, attr("b").le(const(threshold)))
     if stage == "project":
         return project(result, ["a", "b"])
+    if stage == "narrow":
+        # The row boundary merges equal hypercubes, as the bag projection does.
+        return project(result, ["b", "a"])
     if stage == "groupby":
         return groupby_aggregate(result, ["a"], GROUPBY_AGGREGATES)
     if stage == "sort":
@@ -90,7 +94,7 @@ def run_python(left, right, threshold, stage):
 
 
 def run_plans(left, right, threshold, stage):
-    """Run the chain factorised and expanded-after-join; return both results."""
+    """Run the chain paired and flat-after-join; return both results."""
     columnar_left = ColumnarAURelation.from_relation(left)
     columnar_right = ColumnarAURelation.from_relation(right)
     joined = (
@@ -104,6 +108,8 @@ def run_plans(left, right, threshold, stage):
             staged = contender.select(attr("b").le(const(threshold)))
         elif stage == "project":
             staged = contender.project(["a", "b"])
+        elif stage == "narrow":
+            staged = contender.narrow(["b", "a"])
         elif stage == "groupby":
             staged = contender.groupby_aggregate(["a"], GROUPBY_AGGREGATES)
         elif stage == "sort":
@@ -124,9 +130,9 @@ def run_plans(left, right, threshold, stage):
 def test_factorised_chain_three_way(left, right, threshold, stage):
     """Uncertain keys: the factorised join falls back automatically, bit for bit."""
     python_result = run_python(left, right, threshold, stage)
-    factorised_result, expanded_result = run_plans(left, right, threshold, stage)
-    assert_same_relation(python_result, factorised_result)
-    assert_same_relation(python_result, expanded_result)
+    paired_result, flat_result = run_plans(left, right, threshold, stage)
+    assert_same_relation(python_result, paired_result)
+    assert_same_relation(python_result, flat_result)
 
 
 @st.composite
@@ -152,9 +158,9 @@ def certain_key_relations(draw, *, attributes=("k", "b"), max_tuples=5):
 def test_factorised_chain_three_way_certain_keys(left, right, threshold, stage):
     """Certain keys stay on the genuinely factorised path through every stage."""
     python_result = run_python(left, right, threshold, stage)
-    factorised_result, expanded_result = run_plans(left, right, threshold, stage)
-    assert_same_relation(python_result, factorised_result)
-    assert_same_relation(python_result, expanded_result)
+    paired_result, flat_result = run_plans(left, right, threshold, stage)
+    assert_same_relation(python_result, paired_result)
+    assert_same_relation(python_result, flat_result)
 
 
 @pytest.mark.parametrize("stage", STAGES)
@@ -162,8 +168,8 @@ def test_factorised_chain_sharded_matches_serial(stage):
     """The pipeline workload's 96-row inputs through each post-join stage.
 
     ``factjoin_inputs`` yields 96 distinct certain keys with ~50% overlap,
-    well past the few-tuple hypothesis draws above; the factorised and
-    expanded chains must still agree with the Python operators bit for bit.
+    well past the few-tuple hypothesis draws above; the paired and flat
+    chains must still agree with the Python operators bit for bit.
     (The name is kept from when this test also compared the removed sharded
     executor against the serial path.)
     """
@@ -294,7 +300,7 @@ def test_carried_objects_match_the_arrays(stage, certain_keys, data, threshold):
 
     A gather that forgot ``objects``, or a stage that kept them after changing
     a component, makes them disagree with the arrays.  The join runs
-    factorised, expanded after the join, and through the eager searchsorted /
+    paired, flat after the join, and through the eager searchsorted /
     sweep and grid kernels.
     """
     from repro.columnar import operators as ops
@@ -316,6 +322,8 @@ def test_carried_objects_match_the_arrays(stage, certain_keys, data, threshold):
             staged = contender.select(attr("b").le(const(threshold)))
         elif stage == "project":
             staged = contender.project(["a", "p", "q"])
+        elif stage == "narrow":
+            staged = contender.narrow(["b", "a"])
         elif stage == "groupby":
             staged = contender.groupby_aggregate(["a"], GROUPBY_AGGREGATES)
         elif stage == "sort":

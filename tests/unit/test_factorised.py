@@ -28,7 +28,7 @@ from repro.core.expressions import attr, const
 from repro.core.operators import join, select
 from repro.core.ranges import RangeValue
 from repro.core.relation import AURelation
-from repro.errors import OperatorError, WindowSpecError
+from repro.errors import OperatorError, SchemaError, WindowSpecError
 from repro.window.spec import WindowSpec
 
 
@@ -220,6 +220,13 @@ class TestErrorParity:
     def test_sort_requires_order_by(self):
         with pytest.raises(OperatorError, match="at least one order-by"):
             fx.fact_sort(factorise(left_table()), [])
+
+    def test_narrow_rejects_unknown_attribute(self):
+        flat = ColumnarPlan(left_table())
+        paired = flat.join(ColumnarPlan(right_table()), on=["k"])
+        for plan in (flat, paired):
+            with pytest.raises(SchemaError, match="'zz'"):
+                plan.narrow(["zz"])
 
     def test_window_rejects_output_collision(self):
         spec = WindowSpec(

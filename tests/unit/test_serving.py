@@ -22,12 +22,13 @@ import pytest
 
 pytest.importorskip("numpy", reason="the serving layer runs on the columnar backend")
 
-from repro.columnar.incremental import merge_delta
+from repro.columnar.incremental import IncrementalView, merge_delta
 from repro.columnar.plan import ColumnarPlan, PlanSpec
+from repro.columnar.relation import ColumnarAURelation
 from repro.core.expressions import attr, const
 from repro.core.relation import AURelation
 from repro.core.schema import Schema
-from repro.errors import OperatorError, ReproError, ServingError
+from repro.errors import OperatorError, PlanError, ReproError, ServingError
 from repro.serving import PlanCache, QueryServer
 
 SCHEMA = ("g", "v")
@@ -137,6 +138,31 @@ class TestQueryServer:
         server.register("top", _template())
         with pytest.raises(ServingError, match="top"):
             server.query("top", (1, 2))
+
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda server: QueryServer(5), ServingError),
+            (lambda server: QueryServer(ColumnarAURelation.from_relation(_base())), ServingError),
+            (lambda server: server.query("top", 5), ServingError),
+            (lambda server: server.query("top", None), ServingError),
+            (lambda server: server.cached_view("top", 5), ServingError),
+            (lambda server: server.query_spec(5), ServingError),
+            (lambda server: IncrementalView(5, _template()), OperatorError),
+            (lambda server: IncrementalView(_base(), 5), PlanError),
+            (lambda server: _template().bind(5), PlanError),
+        ],
+        ids=[
+            "server-int-base", "server-columnar-base", "query-int-params",
+            "query-none-params", "cached-view-int-params", "query-spec-int",
+            "view-int-base", "view-int-spec", "bind-int",
+        ],
+    )
+    def test_bad_arguments_raise_typed_errors(self, call, error):
+        server = QueryServer(_base())
+        server.register("top", _template())
+        with pytest.raises(error):
+            call(server)
 
     def test_query_matches_the_direct_plan(self):
         base = _base()
