@@ -13,7 +13,8 @@ Used by CI to catch two regressions fast, without the full benchmark suite:
   plan additionally pins the chained plan against the per-stage round-trip
   execution of the same kernels,
 * **performance regressions** — the columnar backend should stay faster
-  than the Python backend at the smoke size (the full
+  than the Python backend at the smoke size, on the full sort and on a
+  top-``rows // 4`` (the full
   ``bench_fig14_sort_scaling.py`` / ``bench_fig15_window_scaling.py`` runs
   measure the real ratios).  Wall-clock comparisons are noisy on shared CI
   runners, so a slowdown only *warns* by default; set
@@ -105,13 +106,21 @@ def smoke_sort(rows: int) -> int:
     for k in (1, rows // 4):
         tp = au_topk(audb, order_by, k, method="native")
         tc = au_topk(audb, order_by, k, method="native", backend="columnar")
-        if tp._rows != tc._rows:
+        # In row order too: chained plans feed it to the next stage's
+        # <total_O sequence-number tiebreakers.
+        if tp.schema != tc.schema or list(tp._rows.items()) != list(tc._rows.items()):
             print(f"FAIL: top-{k} backends diverge")
             failures += 1
 
     python_ms = best_of(lambda: au_sort(audb, order_by, method="native"))
     columnar_ms = best_of(lambda: au_sort(columnar, order_by, method="native", backend="columnar"))
     failures += _report_speedup("sort", rows, python_ms, columnar_ms)
+    k = rows // 4
+    python_ms = best_of(lambda: au_topk(audb, order_by, k, method="native"))
+    columnar_ms = best_of(
+        lambda: au_topk(columnar, order_by, k, method="native", backend="columnar")
+    )
+    failures += _report_speedup("topk", rows, python_ms, columnar_ms)
     return failures
 
 

@@ -61,6 +61,7 @@ import numpy as np
 
 from repro.columnar import operators as ops
 from repro.columnar.kernels import (
+    oriented_key_bounds,
     permutation_delete,
     permutation_insert,
     rank_offset_bounds,
@@ -228,14 +229,12 @@ def _oriented_sort_arrays(cols: ColumnarAURelation, order_by: str, descending: b
     compared array is uniform-numeric and NaN-free, so anything else
     (object dtype, mixed components, NaN, an ``int64`` minimum that a
     descending negation would overflow) returns ``None`` and the view
-    recomputes instead.
+    recomputes instead.  The order-by column's check is
+    :func:`~repro.columnar.kernels.oriented_key_bounds`, which the top-k
+    prefilter shares.
     """
-    column = cols.column(order_by)
-    comps = (column.lb, column.sg, column.ub)
-    dtype = comps[0].dtype
-    if dtype == object or any(arr.dtype != dtype for arr in comps):
-        return None
-    if dtype == np.float64 and any(bool(np.isnan(arr).any()) for arr in comps):
+    keys = oriented_key_bounds(cols.column(order_by), descending=descending)
+    if keys is None:
         return None
     rest = []
     for name in cols.schema:
@@ -247,15 +246,7 @@ def _oriented_sort_arrays(cols: ColumnarAURelation, order_by: str, descending: b
         if sg_arr.dtype == np.float64 and bool(np.isnan(sg_arr).any()):
             return None
         rest.append(sg_arr)
-    if descending:
-        if (
-            dtype == np.int64
-            and len(column.lb)
-            and min(int(arr.min()) for arr in comps) == np.iinfo(np.int64).min
-        ):
-            return None
-        return -column.ub, -column.sg, -column.lb, rest
-    return column.lb, column.sg, column.ub, rest
+    return (*keys, rest)
 
 
 class _SortState:

@@ -16,9 +16,9 @@ per-tuple Python work:
   per-tuple heap feeding: for every row, how many rows of the
   earliest-ordered stream must be processed before its window of uncertainty
   closes,
-* :func:`certainly_precedes_matrix` / :func:`possibly_precedes_matrix` —
-  pairwise interval-lexicographic comparison matrices (used by the
-  differential tests to cross-check the prefix-sum kernels).
+* :func:`topk_candidates` — Algorithm 1's top-k early stop, vectorized: the
+  rows a top-``k`` sort must rank, read off the first order-by column, so
+  the kernels above run on those rows only.
 
 Rank encoding uses :func:`repro.relational.sort.sort_key_value` for columns
 stored as ``object`` arrays, so ``None`` ordering and mixed ``int``/``float``
@@ -49,8 +49,8 @@ __all__ = [
     "permutation_delete",
     "selected_guess_positions",
     "emission_schedule",
-    "certainly_precedes_matrix",
-    "possibly_precedes_matrix",
+    "oriented_key_bounds",
+    "topk_candidates",
     "duplicate_offsets",
     "interval_point_match_pairs",
     "interval_overlap_pairs",
@@ -343,6 +343,93 @@ def sort_position_bounds_ranked(
     )
     sg = np.clip(sg, lower, upper)
     return lower, sg, upper, latest_rank
+
+
+def oriented_key_bounds(
+    column: AttributeColumn, *, descending: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Raw ``(earliest, sg, latest)`` values of one order-by column, or ``None``.
+
+    Under a descending order the earliest bound of a range is its upper end,
+    realised by swapping and negating the components, as
+    :func:`order_code_matrices` does with rank codes.  Raw values compare
+    like those codes exactly when the three components share one numeric
+    dtype, hold no NaN, and negate without overflow (no ``int64`` minimum
+    under ``descending``); anything else returns ``None``.
+    """
+    comps = (column.lb, column.sg, column.ub)
+    dtype = comps[0].dtype
+    if dtype.kind not in "if" or any(arr.dtype != dtype for arr in comps):
+        return None
+    if dtype.kind == "f" and any(bool(np.isnan(arr).any()) for arr in comps):
+        return None
+    if not descending:
+        return comps
+    if (
+        dtype.kind == "i"
+        and len(column.lb)
+        and min(int(arr.min()) for arr in comps) == np.iinfo(dtype).min
+    ):
+        return None
+    return -column.ub, -column.sg, -column.lb
+
+
+def _holds_nan(arr: np.ndarray) -> bool:
+    """Whether a component array holds NaN, a float NaN in an ``object`` array included."""
+    if arr.dtype.kind == "f" or arr.dtype == object:
+        return bool((arr != arr).any())
+    return False
+
+
+def topk_candidates(
+    column: AttributeColumn, mult_lb: np.ndarray, k: int, *, descending: bool = False
+) -> np.ndarray | None:
+    """Rows a top-``k`` sort must rank, in input order; ``None`` keeps them all.
+
+    The columnar twin of Algorithm 1's early stop, read off the first
+    order-by attribute ``column`` alone.  With ``e`` / ``l`` a row's earliest
+    / latest value of it (oriented by the sort direction):
+
+    1. ``c`` is the smallest ``l`` such that the rows with ``l <= c`` carry
+       certain multiplicity (``mult_lb``) of at least ``k``.  Each of them
+       certainly precedes every row with ``e > c``, whatever the later
+       order-by attributes say, so such a row has ``pos_lb >= k`` and all
+       its duplicates are pruned.
+    2. ``r`` is the largest ``l`` among the rows with ``e <= c``.
+    3. The candidates are the rows with ``e <= r``.  Every row that
+       certainly precedes a candidate is a candidate too, and so is every
+       row a survivor's bounds read — one that possibly precedes it, or
+       precedes it under ``<ᵗᵒᵗᵃˡ_O`` — because ``e <= sg <= l`` holds for
+       every row.  On the candidates, every row keeps its ``pos_lb`` and
+       every survivor its position triple.
+
+    A NaN in the column breaks ``e <= sg <= l`` in code order, so it keeps
+    every row, as does total certain multiplicity below ``k``.  ``k == 0``
+    keeps none.
+    """
+    if k == 0:
+        return np.empty(0, dtype=np.int64)
+    if any(_holds_nan(arr) for arr in (column.lb, column.sg, column.ub)):
+        return None
+    if int(mult_lb.sum()) < k:
+        return None
+    keys = oriented_key_bounds(column, descending=descending)
+    if keys is None:
+        lb, ub = component_rank_codes(column, ("lb", "ub"))
+        earliest, latest = (-ub, -lb) if descending else (lb, ub)
+    else:
+        earliest, _sg, latest = keys
+    # The k smallest latest values among certain rows hold the cutoff: each
+    # carries mult_lb >= 1, so their weight alone reaches k.
+    certain = np.flatnonzero(mult_lb > 0)
+    if len(certain) > k:
+        certain = certain[np.argpartition(latest[certain], k - 1)[:k]]
+    order = certain[np.argsort(latest[certain], kind="stable")]
+    cutoff = latest[order][np.searchsorted(np.cumsum(mult_lb[order]), k)]
+    keep = earliest <= latest[earliest <= cutoff].max()
+    if keep.all():
+        return None
+    return np.flatnonzero(keep)
 
 
 def rank_offset_bounds(
@@ -726,22 +813,3 @@ def sliding_window_extrema(values: np.ndarray, window: int, *, maximum: bool) ->
         padded = np.concatenate([np.full(window - 1, identity), values.astype(np.float64)])
     view = np.lib.stride_tricks.sliding_window_view(padded, window)
     return view.max(axis=1) if maximum else view.min(axis=1)
-
-
-# ---------------------------------------------------------------------------
-# Pairwise comparison matrices (cross-checks for small inputs)
-# ---------------------------------------------------------------------------
-
-
-def certainly_precedes_matrix(
-    earliest_rank: np.ndarray, latest_rank: np.ndarray
-) -> np.ndarray:
-    """Boolean matrix ``M[i, j]``: tuple ``i`` certainly precedes tuple ``j``."""
-    return latest_rank[:, None] < earliest_rank[None, :]
-
-
-def possibly_precedes_matrix(
-    earliest_rank: np.ndarray, latest_rank: np.ndarray
-) -> np.ndarray:
-    """Boolean matrix ``M[i, j]``: tuple ``i`` possibly precedes tuple ``j``."""
-    return earliest_rank[:, None] <= latest_rank[None, :]

@@ -57,7 +57,8 @@ from repro.core.expressions import Expression
 from repro.core.ranges import RangeValue
 from repro.core.relation import AURelation
 from repro.core.tuples import AUTuple
-from repro.errors import OperatorError, PlanError
+from repro.errors import PlanError
+from repro.relational.sort import validate_k
 from repro.window.spec import WindowSpec
 
 __all__ = ["ColumnarPlan", "PlanSpec"]
@@ -75,15 +76,6 @@ def require_serial(workers: object) -> None:
             f"workers={workers!r} is not supported: the parallel executor was "
             "removed and every plan runs serially; pass workers=1 or omit it"
         )
-
-
-def _validate_k(k: object) -> int:
-    """``k`` for a top-k stage: a non-negative ``int`` (``bool`` rejected)."""
-    if type(k) is bool or not isinstance(k, int):
-        raise OperatorError(f"top-k k must be a non-negative int, got {k!r}")
-    if k < 0:
-        raise OperatorError("k must be non-negative")
-    return k
 
 
 class ColumnarPlan:
@@ -286,7 +278,7 @@ class ColumnarPlan:
         """Uncertain top-k over the columnar kernels (stays columnar)."""
         from repro.core.expressions import attr
 
-        k = _validate_k(k)
+        k = validate_k(k)
         ranked = fx.fact_sort(
             self._relation,
             order_by,
@@ -438,7 +430,7 @@ class PlanSpec:
     ) -> "PlanSpec":
         return self._with(
             "topk",
-            (tuple(order_by), _validate_k(k)),
+            (tuple(order_by), validate_k(k)),
             {"position_attribute": position_attribute, "descending": descending},
         )
 

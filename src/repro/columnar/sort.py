@@ -30,10 +30,15 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.columnar.kernels import duplicate_offsets, sort_position_bounds_ranked
+from repro.columnar.kernels import (
+    duplicate_offsets,
+    sort_position_bounds_ranked,
+    topk_candidates,
+)
 from repro.columnar.relation import AttributeColumn, ColumnarAURelation, as_columnar
 from repro.core.relation import AURelation
 from repro.errors import OperatorError
+from repro.relational.sort import validate_k
 
 __all__ = ["sort_stage", "sort_columnar", "ranked_emission"]
 
@@ -53,7 +58,10 @@ def sort_stage(
     ``k`` given, duplicates whose position is certainly not among the first
     ``k`` are pruned — exactly the duplicates a top-k selection on the
     position attribute would filter to zero, so top-k results agree with the
-    Python backend bit for bit.
+    Python backend bit for bit.  The kernels then rank only the rows
+    :func:`~repro.columnar.kernels.topk_candidates` keeps (Algorithm 1's
+    early stop): rows that can hold a top-``k`` duplicate, and the rows
+    their bounds read.
 
     The result is the columnar twin of ``sort_native``'s output, *including
     row order*: rows are emitted in the native sweep's emission order —
@@ -73,6 +81,13 @@ def sort_stage(
     columnar = as_columnar(relation)
     columnar.schema.require(list(order_by))
     columnar.schema.extend(position_attribute)  # validates the name early
+    if k is not None:
+        k = validate_k(k)
+        candidates = topk_candidates(
+            columnar.column(order_by[0]), columnar.mult_lb, k, descending=descending
+        )
+        if candidates is not None:
+            columnar = columnar.take(candidates)
 
     lower, sg, upper, latest_rank = sort_position_bounds_ranked(
         columnar,
@@ -110,29 +125,29 @@ def ranked_emission(
     permutations — both feed this one emission path, so the patched output
     cannot drift from the from-scratch stage.
     """
-    ordered = columnar.take(emit)
-
     # Fig. 4 / Algorithm 2 split: the j-th duplicate shifts the base position
     # by j and is certain / selected-guess-only / merely possible depending on
     # where j falls in the multiplicity triple.
-    row, offset = duplicate_offsets(ordered.mult_ub)
-    pos_lb = lower[emit][row] + offset
-    pos_sg = sg[emit][row] + offset
-    pos_ub = upper[emit][row] + offset
+    row, offset = duplicate_offsets(columnar.mult_ub[emit])
+    source = emit[row]
+    pos_lb = lower[source] + offset
+    pos_sg = sg[source] + offset
+    pos_ub = upper[source] + offset
     if k is not None:
         keep = pos_lb < k
-        row, offset = row[keep], offset[keep]
+        source, offset = source[keep], offset[keep]
         pos_lb, pos_sg, pos_ub = pos_lb[keep], pos_sg[keep], pos_ub[keep]
 
-    expanded = ordered.take(row)
-    # Every output hypercube is distinct by construction — the columnar
-    # layout holds one row per *distinct* range tuple, and duplicates of one
-    # row occupy distinct positions — so the merge-on-collision semantics of
-    # AURelation.add cannot fire and no duplicate merge is needed.
+    # One gather, of the kept duplicates only.  Every output hypercube is
+    # distinct by construction — the columnar layout holds one row per
+    # *distinct* range tuple, and duplicates of one row occupy distinct
+    # positions — so the merge-on-collision semantics of AURelation.add
+    # cannot fire and no duplicate merge is needed.
+    expanded = columnar.take(source)
     return expanded.with_multiplicities(
-        (offset < ordered.mult_lb[row]).astype(np.int64),
-        (offset < ordered.mult_sg[row]).astype(np.int64),
-        np.ones(len(row), dtype=np.int64),
+        (offset < expanded.mult_lb).astype(np.int64),
+        (offset < expanded.mult_sg).astype(np.int64),
+        np.ones(len(source), dtype=np.int64),
     ).with_column(AttributeColumn(position_attribute, pos_lb, pos_sg, pos_ub))
 
 

@@ -26,6 +26,7 @@ from repro.core.relation import AURelation
 from repro.errors import OperatorError
 from repro.ranking.positions import RankedItem, relation_items, sort_key_value
 from repro.ranking.semantics import split_duplicates
+from repro.relational.sort import validate_k
 
 __all__ = ["sort_native"]
 
@@ -77,6 +78,8 @@ def sort_native(
     vectorized kernels of :mod:`repro.columnar` (results are bit-identical;
     the heap sweep is replaced by the batched emission schedule).
     """
+    if k is not None:
+        k = validate_k(k)
     if backend == "columnar":
         try:
             from repro.columnar.sort import sort_columnar  # local: NumPy optional

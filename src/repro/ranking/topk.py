@@ -17,6 +17,7 @@ from repro.core.relation import AURelation
 from repro.errors import OperatorError
 from repro.ranking.native import sort_native
 from repro.ranking.semantics import sort_rewrite
+from repro.relational.sort import validate_k
 
 __all__ = ["topk", "sort"]
 
@@ -75,8 +76,7 @@ def topk(
     zero marks a merely *possible* answer.  ``backend="columnar"`` computes
     the underlying sort with the vectorized kernels of :mod:`repro.columnar`.
     """
-    if k < 0:
-        raise OperatorError("k must be non-negative")
+    k = validate_k(k)
     ranked = sort(
         relation,
         order_by,

@@ -25,10 +25,26 @@ from repro.relational.relation import Relation, Row
 __all__ = [
     "sort_operator",
     "topk",
+    "validate_k",
     "total_order_key",
     "make_total_order_key",
     "sort_key_value",
 ]
+
+
+def validate_k(k: object) -> int:
+    """``k`` for a top-k: a non-negative ``int`` (``bool`` rejected).
+
+    The one check every top-k entry point runs — deterministic, uncertain,
+    both backends and the columnar plans — so a bad ``k`` raises
+    :class:`~repro.errors.OperatorError` everywhere instead of a bare
+    ``TypeError`` from a comparison, or an empty result.
+    """
+    if type(k) is bool or not isinstance(k, int):
+        raise OperatorError(f"top-k k must be a non-negative int, got {k!r}")
+    if k < 0:
+        raise OperatorError("k must be non-negative")
+    return k
 
 
 def sort_key_value(value: Scalar) -> tuple[int, Scalar]:
@@ -205,8 +221,7 @@ def topk(
     backend: str = "python",
 ) -> Relation:
     """Deterministic top-k: sort, keep positions < k, optionally drop the position."""
-    if k < 0:
-        raise OperatorError("k must be non-negative")
+    k = validate_k(k)
     sorted_relation = sort_operator(
         relation,
         order_by,

@@ -59,3 +59,86 @@ class TestTopKBehaviour:
         # Term 1 has the smallest possible sales; terms 2 and the 3/5 hypercube
         # may tie or undercut it in some world.
         assert 1 in terms
+
+
+def _needs_numpy():
+    pytest.importorskip("numpy", reason="the columnar backend requires NumPy")
+
+
+def _sort_stage(relation, k):
+    _needs_numpy()
+    from repro.columnar import sort_stage
+
+    return sort_stage(relation, ["sales"], k=k)
+
+
+def _plan_topk(relation, k):
+    _needs_numpy()
+    from repro.columnar import ColumnarPlan
+
+    return ColumnarPlan(relation).topk(["sales"], k)
+
+
+def _spec_topk(relation, k):
+    _needs_numpy()
+    from repro.columnar.plan import PlanSpec
+
+    return PlanSpec().topk(["sales"], k)
+
+
+def _deterministic_topk(relation, k):
+    from repro.relational.relation import Relation
+    from repro.relational.sort import topk as det_topk
+
+    return det_topk(Relation(["sales"], [((1,), 1), ((2,), 1)]), ["sales"], k)
+
+
+def _sort_native(backend):
+    def run(relation, k):
+        if backend == "columnar":
+            _needs_numpy()
+        from repro.ranking.native import sort_native
+
+        return sort_native(relation, ["sales"], k=k, backend=backend)
+
+    return run
+
+
+def _topk(backend):
+    def run(relation, k):
+        if backend == "columnar":
+            _needs_numpy()
+        return topk(relation, ["sales"], k, backend=backend)
+
+    return run
+
+
+#: Every top-k entry point, and whether it requires ``k``: the sort entry
+#: points read ``k=None`` as "no limit".
+K_ENTRY_POINTS = {
+    "topk-python": (_topk("python"), True),
+    "topk-columnar": (_topk("columnar"), True),
+    "sort_native-python": (_sort_native("python"), False),
+    "sort_native-columnar": (_sort_native("columnar"), False),
+    "sort_stage": (_sort_stage, False),
+    "ColumnarPlan.topk": (_plan_topk, True),
+    "PlanSpec.topk": (_spec_topk, True),
+    "relational.topk": (_deterministic_topk, True),
+}
+
+BAD_K = [2.5, 2.0, True, False, "2", -1]
+
+
+@pytest.mark.parametrize(
+    "entry, bad",
+    [
+        (entry, bad)
+        for entry, (_run, requires_k) in sorted(K_ENTRY_POINTS.items())
+        for bad in BAD_K + ([None] if requires_k else [])
+    ],
+)
+def test_every_topk_entry_point_rejects_a_bad_k(entry, bad):
+    """One ``k`` check: a non-int, bool or negative ``k`` raises OperatorError."""
+    run, _requires_k = K_ENTRY_POINTS[entry]
+    with pytest.raises(OperatorError, match="non-negative"):
+        run(sales_audb(), bad)
