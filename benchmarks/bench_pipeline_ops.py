@@ -1,284 +1,59 @@
-"""Multi-operator pipeline microbenchmarks (both execution backends).
+"""Plan-workload microbenchmarks: every contender of every registry workload.
 
-Times whole ``RA⁺`` plans of :mod:`repro.workloads.pipeline` per backend:
+Cases come from :data:`repro.workloads.registry.WORKLOADS` — the RA⁺ plans
+(select→join→project→window, select→join→groupby→window, the multi-window
+plan past a window stage with its per-stage round trip), the equi-join and
+range×range join kernels, and the factorised join chain:
 
-* ``test_imp_pipeline`` / ``test_imp_columnar_pipeline`` — the
-  ``select -> join -> project -> window`` plan (tuple-at-a-time operators vs
-  a :class:`~repro.columnar.plan.ColumnarPlan` chain over pre-converted
-  columnar inputs);
-* ``test_imp_groupby_pipeline`` / ``test_imp_columnar_groupby_pipeline`` —
-  the ``select -> join -> groupby -> window`` plan, whose grouped-aggregation
-  stage stays columnar between the join and the terminal window;
-* ``test_imp_multiwindow`` / ``test_imp_columnar_roundtrip_multiwindow`` /
-  ``test_imp_columnar_multiwindow`` — the
-  ``select -> join -> window -> select -> window`` plan that *continues past*
-  its first window stage: tuple-at-a-time, per-stage
-  ``backend="columnar"`` calls (a row-major round trip per stage, from the
-  row-major tables like the Python backend), and the single chained
-  ``ColumnarPlan`` whose window stages emit columnar output (one conversion
-  at the final ``.to_rows()``);
-* ``test_equijoin_*`` — a large-N equi-join point comparing the Python
-  backend, the columnar pair grid (``O(|L|·|R|)`` memory), and the
-  memory-safe sort/searchsorted path (only match candidates materialise, so
-  it reaches sizes the grid cannot);
-* ``test_rangejoin_*`` — the same comparison when the join keys are
-  uncertain ranges on *both* sides, which disqualifies searchsorted: the
-  interval-overlap sweep enumerates only the possibly overlapping pairs
-  (``O((n + k) log n)``) and reaches N=4096 while the grid stays capped;
-* ``test_factjoin_*`` — the ``select -> join -> select -> window`` chain
-  through the factorised representation
-  (:class:`~repro.columnar.factorised.FactorisedAURelation`): the join
-  result stays a fragment-plus-pair-index structure, so the post-join
-  select and window never touch expanded pair rows.  Compared against the
-  Python backend and the expanded grid plan at grid-safe sizes.
+* ``test_timing[<workload>-<contender>-<size>]`` times one contender at one
+  size, on pre-converted columnar inputs unless the contender runs on the
+  row-major tables (the python backend, the multi-window round trip).  Every
+  contender runs at the workload's ``bench_sizes``; the output-sensitive
+  ones (searchsorted, sweep, factorised) also at ``bench_large``, where the
+  quadratic contenders stay off.
+* ``test_agree_bit_for_bit[<workload>-<size>]`` is not a timing: at each
+  ``bench_sizes`` entry every contender, the untimed range-join
+  ``method="auto"`` included, must return the first contender's relation.
 
-Results are bit-identical across backends and join methods (the
-``*_agree_bit_for_bit`` tests pin it here at the benchmark sizes;
-``smoke_backends.py`` does so in CI).  Harness id: ``pipeline``.
+Harness ids: ``pipeline``, ``groupby``, ``multiwindow``, ``equijoin``,
+``rangejoin``, ``factjoin``.
 """
 
 import pytest
 
-from repro.workloads.pipeline import (
-    equijoin_inputs,
-    factjoin_inputs,
-    multiwindow_inputs,
-    pipeline_inputs,
-    rangejoin_inputs,
-    run_equijoin_columnar,
-    run_equijoin_python,
-    run_factjoin_columnar,
-    run_factjoin_python,
-    run_groupby_pipeline_columnar,
-    run_groupby_pipeline_python,
-    run_multiwindow_columnar,
-    run_multiwindow_python,
-    run_multiwindow_roundtrip_columnar,
-    run_pipeline_columnar,
-    run_pipeline_python,
-    run_rangejoin_columnar,
-    run_rangejoin_python,
-)
+from repro.workloads.registry import WORKLOADS, columnar_inputs, divergent
 
-SIZES = [64, 128, 256, 512]
-MULTIWINDOW_SIZES = [256, 1024]
-JOIN_SIZES = [256, 1024]
-JOIN_SIZES_SEARCHSORTED = [256, 1024, 4096]
-RANGEJOIN_SIZES = [256, 1024]
-RANGEJOIN_SIZES_SWEEP = [256, 1024, 4096]
-FACTJOIN_SIZES = [64, 128, 512]
-FACTJOIN_SIZES_FACTORISED = [64, 128, 512, 4096]
+TIMINGS = [
+    pytest.param(workload, contender, size, id=f"{workload.name}-{contender.name}-{size}")
+    for workload in WORKLOADS.values()
+    for contender in workload.contenders
+    if contender.timed
+    for size in workload.bench_sizes + (() if contender.quadratic else workload.bench_large)
+]
+
+AGREEMENT = [
+    pytest.param(workload, size, id=f"{workload.name}-{size}")
+    for workload in WORKLOADS.values()
+    for size in workload.bench_sizes
+]
 
 
-def _inputs(size):
-    return pipeline_inputs(size, seed=0)
-
-
-def _columnar(relation):
-    numpy = pytest.importorskip("numpy", reason="the columnar backend requires NumPy")
-    del numpy
-    from repro.columnar.relation import ColumnarAURelation
-
-    return ColumnarAURelation.from_relation(relation)
-
-
-@pytest.mark.parametrize("size", SIZES)
-def test_imp_pipeline(benchmark, size):
-    fact, dim, threshold = _inputs(size)
-    benchmark(run_pipeline_python, fact, dim, threshold)
-
-
-@pytest.mark.parametrize("size", SIZES)
-def test_imp_columnar_pipeline(benchmark, size):
-    fact, dim, threshold = _inputs(size)
-    benchmark(run_pipeline_columnar, _columnar(fact), _columnar(dim), threshold)
-
-
-@pytest.mark.parametrize("size", SIZES)
-def test_imp_groupby_pipeline(benchmark, size):
-    fact, dim, threshold = _inputs(size)
-    benchmark(run_groupby_pipeline_python, fact, dim, threshold)
-
-
-@pytest.mark.parametrize("size", SIZES)
-def test_imp_columnar_groupby_pipeline(benchmark, size):
-    fact, dim, threshold = _inputs(size)
-    benchmark(run_groupby_pipeline_columnar, _columnar(fact), _columnar(dim), threshold)
-
-
-@pytest.mark.parametrize("size", MULTIWINDOW_SIZES)
-def test_imp_multiwindow(benchmark, size):
-    fact, dim, threshold = multiwindow_inputs(size)
-    benchmark(run_multiwindow_python, fact, dim, threshold)
-
-
-@pytest.mark.parametrize("size", MULTIWINDOW_SIZES)
-def test_imp_columnar_roundtrip_multiwindow(benchmark, size):
-    """Per-stage ``backend="columnar"`` calls: a row-major round trip per stage.
-
-    Starts from the row-major tables (like the Python backend — the
-    round-trip execution model is row-major in and out of every stage).
-    """
-    fact, dim, threshold = multiwindow_inputs(size)
-    benchmark(run_multiwindow_roundtrip_columnar, fact, dim, threshold)
-
-
-@pytest.mark.parametrize("size", MULTIWINDOW_SIZES)
-def test_imp_columnar_multiwindow(benchmark, size):
-    """One chained plan over columnar-resident tables: no mid-plan round trips."""
-    fact, dim, threshold = multiwindow_inputs(size)
-    benchmark(run_multiwindow_columnar, _columnar(fact), _columnar(dim), threshold)
-
-
-@pytest.mark.parametrize("size", JOIN_SIZES)
-def test_equijoin_python(benchmark, size):
-    left, right = equijoin_inputs(size)
-    benchmark(run_equijoin_python, left, right)
-
-
-@pytest.mark.parametrize("size", JOIN_SIZES)
-def test_equijoin_columnar_grid(benchmark, size):
-    left, right = equijoin_inputs(size)
-    columnar_left, columnar_right = _columnar(left), _columnar(right)
-    benchmark(lambda: run_equijoin_columnar(columnar_left, columnar_right, method="grid"))
-
-
-@pytest.mark.parametrize("size", JOIN_SIZES_SEARCHSORTED)
-def test_equijoin_columnar_searchsorted(benchmark, size):
-    """Reaches N=4096 (16.8M grid pairs) — the grid kernel stays off this size."""
-    left, right = equijoin_inputs(size)
-    columnar_left, columnar_right = _columnar(left), _columnar(right)
-    benchmark(
-        lambda: run_equijoin_columnar(columnar_left, columnar_right, method="searchsorted")
-    )
-
-
-@pytest.mark.parametrize("size", RANGEJOIN_SIZES)
-def test_rangejoin_python(benchmark, size):
-    left, right = rangejoin_inputs(size)
-    benchmark(run_rangejoin_python, left, right)
-
-
-@pytest.mark.parametrize("size", RANGEJOIN_SIZES)
-def test_rangejoin_columnar_grid(benchmark, size):
-    left, right = rangejoin_inputs(size)
-    columnar_left, columnar_right = _columnar(left), _columnar(right)
-    benchmark(lambda: run_rangejoin_columnar(columnar_left, columnar_right, method="grid"))
-
-
-@pytest.mark.parametrize("size", RANGEJOIN_SIZES_SWEEP)
-def test_rangejoin_columnar_sweep(benchmark, size):
-    """Reaches N=4096 (16.8M grid pairs) — the grid kernel stays off this size."""
-    left, right = rangejoin_inputs(size)
-    columnar_left, columnar_right = _columnar(left), _columnar(right)
-    benchmark(lambda: run_rangejoin_columnar(columnar_left, columnar_right, method="sweep"))
-
-
-@pytest.mark.parametrize("size", FACTJOIN_SIZES)
-def test_factjoin_python(benchmark, size):
-    left, right, v_threshold, w_threshold = factjoin_inputs(size)
-    benchmark(run_factjoin_python, left, right, v_threshold, w_threshold)
-
-
-@pytest.mark.parametrize("size", FACTJOIN_SIZES)
-def test_factjoin_columnar_grid(benchmark, size):
-    """The fully expanded plan: the join materialises every surviving pair."""
-    left, right, v_threshold, w_threshold = factjoin_inputs(size)
-    columnar_left, columnar_right = _columnar(left), _columnar(right)
-    benchmark(
-        lambda: run_factjoin_columnar(
-            columnar_left, columnar_right, v_threshold, w_threshold, method="grid"
-        )
-    )
-
-
-@pytest.mark.parametrize("size", FACTJOIN_SIZES_FACTORISED)
-def test_factjoin_columnar_factorised(benchmark, size):
-    """The factorised chain reaches N=4096, where the expanded plans stay off."""
-    left, right, v_threshold, w_threshold = factjoin_inputs(size)
-    columnar_left, columnar_right = _columnar(left), _columnar(right)
-    benchmark(
-        lambda: run_factjoin_columnar(
-            columnar_left, columnar_right, v_threshold, w_threshold
-        )
-    )
-
-
-@pytest.mark.parametrize("size", SIZES)
-def test_backends_agree_bit_for_bit(size):
-    """Not a timing: the two backends must produce identical relations."""
+def _inputs(workload, size, *, columnar):
+    args = workload.inputs(size, seed=0)
+    if not columnar:
+        return args, args
     pytest.importorskip("numpy", reason="the columnar backend requires NumPy")
-    fact, dim, threshold = _inputs(size)
-    python_result = run_pipeline_python(fact, dim, threshold)
-    columnar_result = run_pipeline_columnar(fact, dim, threshold)
-    assert python_result.schema == columnar_result.schema
-    assert python_result._rows == columnar_result._rows
+    return args, columnar_inputs(args)
 
 
-@pytest.mark.parametrize("size", SIZES)
-def test_groupby_backends_agree_bit_for_bit(size):
-    pytest.importorskip("numpy", reason="the columnar backend requires NumPy")
-    fact, dim, threshold = _inputs(size)
-    python_result = run_groupby_pipeline_python(fact, dim, threshold)
-    columnar_result = run_groupby_pipeline_columnar(fact, dim, threshold)
-    assert python_result.schema == columnar_result.schema
-    assert python_result._rows == columnar_result._rows
+@pytest.mark.parametrize("workload, contender, size", TIMINGS)
+def test_timing(benchmark, workload, contender, size):
+    args, columnar_args = _inputs(workload, size, columnar=contender.columnar)
+    benchmark(contender, args, columnar_args)
 
 
-@pytest.mark.parametrize("size", MULTIWINDOW_SIZES)
-def test_multiwindow_paths_agree_bit_for_bit(size):
-    """Python, per-stage round-trip, and chained plan produce identical relations."""
-    pytest.importorskip("numpy", reason="the columnar backend requires NumPy")
-    fact, dim, threshold = multiwindow_inputs(size)
-    python_result = run_multiwindow_python(fact, dim, threshold)
-    roundtrip_result = run_multiwindow_roundtrip_columnar(fact, dim, threshold)
-    chained_result = run_multiwindow_columnar(fact, dim, threshold)
-    assert python_result.schema == roundtrip_result.schema == chained_result.schema
-    assert python_result._rows == roundtrip_result._rows == chained_result._rows
-
-
-@pytest.mark.parametrize("size", JOIN_SIZES)
-def test_equijoin_methods_agree_bit_for_bit(size):
-    pytest.importorskip("numpy", reason="the columnar backend requires NumPy")
-    left, right = equijoin_inputs(size)
-    python_result = run_equijoin_python(left, right)
-    grid_result = run_equijoin_columnar(left, right, method="grid")
-    fast_result = run_equijoin_columnar(left, right, method="searchsorted")
-    assert python_result.schema == grid_result.schema == fast_result.schema
-    assert python_result._rows == grid_result._rows == fast_result._rows
-
-
-@pytest.mark.parametrize("size", RANGEJOIN_SIZES)
-def test_rangejoin_methods_agree_bit_for_bit(size):
-    pytest.importorskip("numpy", reason="the columnar backend requires NumPy")
-    left, right = rangejoin_inputs(size)
-    python_result = run_rangejoin_python(left, right)
-    grid_result = run_rangejoin_columnar(left, right, method="grid")
-    sweep_result = run_rangejoin_columnar(left, right, method="sweep")
-    auto_result = run_rangejoin_columnar(left, right)
-    assert (
-        python_result.schema
-        == grid_result.schema
-        == sweep_result.schema
-        == auto_result.schema
-    )
-    assert (
-        python_result._rows
-        == grid_result._rows
-        == sweep_result._rows
-        == auto_result._rows
-    )
-
-
-@pytest.mark.parametrize("size", FACTJOIN_SIZES)
-def test_factjoin_paths_agree_bit_for_bit(size):
-    """Python, expanded grid, and factorised chain produce identical relations."""
-    pytest.importorskip("numpy", reason="the columnar backend requires NumPy")
-    left, right, v_threshold, w_threshold = factjoin_inputs(size)
-    python_result = run_factjoin_python(left, right, v_threshold, w_threshold)
-    grid_result = run_factjoin_columnar(
-        left, right, v_threshold, w_threshold, method="grid"
-    )
-    fact_result = run_factjoin_columnar(left, right, v_threshold, w_threshold)
-    assert python_result.schema == grid_result.schema == fact_result.schema
-    assert python_result._rows == grid_result._rows == fact_result._rows
+@pytest.mark.parametrize("workload, size", AGREEMENT)
+def test_agree_bit_for_bit(workload, size):
+    args, columnar_args = _inputs(workload, size, columnar=True)
+    results = {c.name: c(args, columnar_args) for c in workload.contenders}
+    assert divergent(results) == []

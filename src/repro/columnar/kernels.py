@@ -8,14 +8,10 @@ tuple comparison becomes integer comparison) and then evaluate the paper's
 Equations 1-3 with sorts, prefix sums, and binary searches instead of
 per-tuple Python work:
 
-* :func:`sort_position_bounds` — position ``(lb, sg, ub)`` triples for every
-  row, bit-identical to the definitional rewrite semantics,
+* :func:`sort_position_bounds_ranked` — position ``(lb, sg, ub)`` triples
+  for every row, bit-identical to the definitional rewrite semantics,
 * :func:`selected_guess_positions` — positions under ``<ᵗᵒᵗᵃˡ_O`` in the
   selected-guess world,
-* :func:`emission_schedule` — the batched replacement for the native sweep's
-  per-tuple heap feeding: for every row, how many rows of the
-  earliest-ordered stream must be processed before its window of uncertainty
-  closes,
 * :func:`topk_candidates` — Algorithm 1's top-k early stop, vectorized: the
   rows a top-``k`` sort must rank, read off the first order-by column, so
   the kernels above run on those rows only.
@@ -42,20 +38,16 @@ __all__ = [
     "dense_rank_codes",
     "order_code_matrices",
     "lex_rank_pairs",
-    "sort_position_bounds",
     "sort_position_bounds_ranked",
     "rank_offset_bounds",
     "permutation_insert",
     "permutation_delete",
     "selected_guess_positions",
-    "emission_schedule",
     "oriented_key_bounds",
     "topk_candidates",
     "duplicate_offsets",
     "interval_point_match_pairs",
     "interval_overlap_pairs",
-    "certain_frame_members",
-    "possible_frame_members",
     "expand_ranges",
     "FrameMemberIndex",
     "sliding_window_sums",
@@ -207,19 +199,6 @@ def lex_rank_pairs(
 # ---------------------------------------------------------------------------
 
 
-def emission_schedule(earliest_rank: np.ndarray, latest_rank: np.ndarray) -> np.ndarray:
-    """Batched heap feeding: the close index of every tuple's uncertainty window.
-
-    The native sweep feeds tuples into a min-heap in earliest-key order and
-    emits a tuple once an incoming tuple certainly follows it.  Vectorized,
-    tuple ``i`` closes after exactly ``count(j : earliest[j] <= latest[i])``
-    tuples of the earliest-ordered stream have been fed — which is also the
-    prefix of that stream contributing to ``i``'s position upper bound.
-    """
-    order = np.argsort(earliest_rank, kind="stable")
-    return np.searchsorted(earliest_rank[order], latest_rank, side="right")
-
-
 def certainly_precedes_counts(
     earliest_rank: np.ndarray, latest_rank: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
@@ -241,8 +220,7 @@ def possibly_precedes_counts(
 
     A tuple possibly precedes ``i`` when its earliest key vector does not
     exceed ``i``'s latest key vector (possible ties included).  The count
-    includes ``i`` itself; callers subtract its own weight.  Evaluates the
-    weighted form of :func:`emission_schedule` with a single sort.
+    includes ``i`` itself; callers subtract its own weight.
     """
     order = np.argsort(earliest_rank, kind="stable")
     prefix = np.concatenate([[0], np.cumsum(weights[order])])
@@ -297,21 +275,6 @@ def selected_guess_positions(
     return positions
 
 
-def sort_position_bounds(
-    relation: ColumnarAURelation, order_by: Sequence[str], *, descending: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row sort-position bound triples (Equations 1-3), fully vectorized.
-
-    Returns ``(lower, sg, upper)`` arrays for the first duplicate of every
-    row; bit-identical to :func:`repro.ranking.positions.position_bounds` and
-    to what the native sweep emits.
-    """
-    lower, sg, upper, _latest_rank = sort_position_bounds_ranked(
-        relation, order_by, descending=descending
-    )
-    return lower, sg, upper
-
-
 def sort_position_bounds_ranked(
     relation: ColumnarAURelation,
     order_by: Sequence[str],
@@ -319,8 +282,12 @@ def sort_position_bounds_ranked(
     descending: bool = False,
     strict_tiebreak: str | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`sort_position_bounds` plus the latest-key ranks of every row.
+    """Per-row sort-position bounds (Equations 1-3) and latest-key ranks.
 
+    Returns ``(lower, sg, upper, latest_rank)``: the position bounds of the
+    first duplicate of every row, bit-identical to
+    :func:`repro.ranking.positions.position_bounds` and to what the native
+    sweep emits, and the rank of every row's latest key vector.
     ``latest_rank`` orders rows by their *latest* (upper-bound) key vector —
     the comparator the native sweep's emission heap pops by.  The
     columnar-native sort / window stages order their output rows by
@@ -515,59 +482,6 @@ def duplicate_offsets(mult_ub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     starts = np.cumsum(mult_ub) - mult_ub
     offset = np.arange(total, dtype=np.int64) - np.repeat(starts, mult_ub)
     return row, offset
-
-
-def certain_frame_members(
-    defining_lb: np.ndarray,
-    defining_ub: np.ndarray,
-    pos_lb: np.ndarray,
-    pos_ub: np.ndarray,
-    certain: np.ndarray,
-    preceding: int,
-) -> np.ndarray:
-    """Mask ``M[d, e]``: duplicate ``e`` is certainly in ``d``'s frame.
-
-    A certain duplicate is certainly inside an ``N PRECEDING AND CURRENT
-    ROW`` window when its position interval is contained in the positions the
-    window certainly covers — it starts no earlier than the latest possible
-    window start and ends no later than the earliest possible window end
-    (the containment condition of Fig. 6).  ``defining_*`` index the block of
-    defining duplicates (rows of the mask); the self pair is *not* masked out
-    here (callers exclude the diagonal).
-
-    Quadratic reference implementation: the production sweep resolves
-    membership through :class:`FrameMemberIndex` instead; the differential
-    tests cross-check the two.
-    """
-    low = (defining_ub - preceding)[:, None]
-    return (
-        certain[None, :]
-        & (pos_lb[None, :] >= low)
-        & (pos_ub[None, :] <= defining_lb[:, None])
-    )
-
-
-def possible_frame_members(
-    defining_lb: np.ndarray,
-    defining_ub: np.ndarray,
-    pos_lb: np.ndarray,
-    pos_ub: np.ndarray,
-    preceding: int,
-) -> np.ndarray:
-    """Mask ``M[d, e]``: duplicate ``e`` possibly falls into ``d``'s frame.
-
-    The overlap condition of Fig. 6: the candidate's position interval
-    intersects the positions the window possibly covers.  Certain members
-    also satisfy it; callers subtract :func:`certain_frame_members` and the
-    diagonal.
-
-    Quadratic reference implementation: the production sweep resolves
-    membership through :class:`FrameMemberIndex` instead; the differential
-    tests cross-check the two.
-    """
-    return (pos_lb[None, :] <= defining_ub[:, None]) & (
-        pos_ub[None, :] >= (defining_lb[:, None] - preceding)
-    )
 
 
 def expand_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:

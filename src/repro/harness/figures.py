@@ -8,20 +8,25 @@ that run in seconds on a laptop with the pure-Python substrate; pass a larger
 *shape* of each result — which method wins, by roughly what factor, who over-
 vs under-approximates — is what reproduces; absolute milliseconds do not
 (PostgreSQL + C vs pure Python), as discussed in EXPERIMENTS.md.
+
+The plan-workload tables (``pipeline`` … ``factjoin``) all come from one
+function, :func:`workload_table`, over the declarations of
+:mod:`repro.workloads.registry`.
 """
 
 from __future__ import annotations
 
 import os
 import random
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 from repro.algorithms.connected_heap import ConnectedHeap, NaiveMultiHeap
 from repro.baselines.det import det_sort, det_topk, det_window
 from repro.baselines.mcdb import mcdb_sort_bounds, mcdb_window_bounds
 from repro.baselines.ptk import topk_probabilities_montecarlo
 from repro.baselines.symb import symb_sort_bounds, symb_window_bounds
-from repro.errors import EnumerationLimitError
+from repro.errors import EnumerationLimitError, ReproError
 from repro.harness.adapters import (
     audb_from_workload,
     audb_sort_bounds,
@@ -35,6 +40,13 @@ from repro.window.native import window_native
 from repro.window.semantics import window_rewrite
 from repro.window.spec import WindowSpec
 from repro.workloads.realworld import REAL_WORLD_DATASETS, DatasetBundle
+from repro.workloads.registry import (
+    WORKLOADS,
+    Contender,
+    columnar_inputs,
+    divergent,
+    same_rows,
+)
 from repro.workloads.synthetic import SyntheticConfig, generate_sort_table, generate_window_table
 
 __all__ = [
@@ -51,6 +63,7 @@ __all__ = [
     "fig17_realworld_performance",
     "fig18_realworld_sort_quality",
     "fig19_realworld_window_quality",
+    "workload_table",
     "pipeline_scaling",
     "groupby_pipeline_scaling",
     "multiwindow_scaling",
@@ -79,8 +92,6 @@ def backend_enabled(backend: str) -> bool:
     """
     value = os.environ.get(BACKEND_ENV, "all").strip().lower() or "all"
     if value not in BACKEND_CHOICES:
-        from repro.errors import ReproError
-
         raise ReproError(
             f"{BACKEND_ENV} must be one of {', '.join(BACKEND_CHOICES)}; got {value!r}"
         )
@@ -651,358 +662,172 @@ def fig19_realworld_window_quality(*, scale: float = 0.05, seed: int = 0) -> Exp
 
 
 # ---------------------------------------------------------------------------
-# Pipeline — multi-operator RA⁺ plans on both backends
+# Plan workloads — RA⁺ plans on both backends, from the workload registry
 # ---------------------------------------------------------------------------
 
 
-def _pipeline_backend_scaling(
-    name: str,
-    description: str,
-    python_runner,
-    columnar_runner,
-    *,
-    sizes: Sequence[int],
-    seed: int,
-) -> ExperimentResult:
-    """Shared driver for the pipeline-shaped two-backend comparisons.
+def _numpy_available() -> bool:
+    try:
+        import numpy  # noqa: F401 - the columnar backend needs it
+    except ImportError:
+        return False
+    return True
 
-    ``Imp`` materialises a row-major relation between every stage;
-    ``Imp-Col`` runs the identical plan as a
-    :class:`~repro.columnar.plan.ColumnarPlan` chain.  Results are
-    bit-identical (``smoke_backends.py`` asserts it); without NumPy the
-    columnar column degrades to ``-``.
+
+def _enabled(contender: Contender) -> bool:
+    """Whether ``REPRO_BACKEND`` and the environment let ``contender`` run."""
+    if contender.columnar:
+        return backend_enabled("columnar") and _numpy_available()
+    return backend_enabled("python")
+
+
+def _timed_runs(runners: dict[str, Callable[[], object]], warmed: set[str]) -> tuple[dict, dict]:
+    """Time each runner once, after one untimed run of each not yet in ``warmed``.
+
+    The untimed run keeps one-time import and kernel setup costs out of the
+    first size's timings.
     """
-    from repro.workloads.pipeline import pipeline_inputs
+    for name, run in runners.items():
+        if name not in warmed:
+            warmed.add(name)
+            run()
+    results: dict[str, object] = {}
+    ms: dict[str, float] = {}
+    for name, run in runners.items():
+        results[name], ms[name] = timed_ms(run)
+    return results, ms
 
+
+def _check_agreement(workload: str, size: int, results: dict) -> None:
+    """Raise :class:`~repro.errors.ReproError` unless all results equal the first."""
+    diverging = divergent(results)
+    if diverging:
+        raise ReproError(
+            f"{workload}: contender {diverging[0]!r} diverges from "
+            f"{next(iter(results))!r} at size {size}"
+        )
+
+
+def _ratio(ms: dict[str, float], baseline: str, contender: str) -> object:
+    if baseline not in ms or contender not in ms:
+        return "-"
+    return ms[baseline] / ms[contender] if ms[contender] else float("inf")
+
+
+def workload_table(
+    name: str,
+    *,
+    sizes: Sequence[int] | None = None,
+    seed: int = 0,
+    quadratic_ceiling: int = 1024,
+) -> ExperimentResult:
+    """Time every contender of the registry workload ``name`` at each size.
+
+    One column per timed contender (:data:`repro.workloads.registry.WORKLOADS`),
+    then the workload's ratio columns.  A contender prints ``-`` where
+    ``REPRO_BACKEND`` or a missing NumPy rules it out and, if quadratic,
+    above ``quadratic_ceiling``.  Results must agree at every size before its
+    timings are reported: a divergence raises
+    :class:`~repro.errors.ReproError` naming the workload, the contender and
+    the size.
+    """
+    workload = WORKLOADS[name]
+    timed = [c for c in workload.contenders if c.timed]
     result = ExperimentResult(
-        name=name, description=description, headers=["Size", "Imp", "Imp-Col", "speedup"]
+        name=name,
+        description=workload.description,
+        headers=["Size", *(c.label for c in timed), *(header for header, _, _ in workload.ratios)],
     )
-    # Warm both runners once so one-time import / kernel setup costs do not
-    # land in the smallest size's timing.
-    warm_fact, warm_dim, warm_threshold = pipeline_inputs(min(sizes), seed=seed)
-    if backend_enabled("python"):
-        python_runner(warm_fact, warm_dim, warm_threshold)
-    if backend_enabled("columnar"):
-        try:
-            columnar_runner(warm_fact, warm_dim, warm_threshold)
-        except ImportError:  # pragma: no cover - environment dependent
-            pass
-    for size in sizes:
-        fact, dim, threshold = pipeline_inputs(size, seed=seed)
-        imp_ms: object = "-"
-        if backend_enabled("python"):
-            _, imp_ms = timed_ms(lambda: python_runner(fact, dim, threshold))
-        imp_col_ms: object = "-"
-        speedup: object = "-"
-        if backend_enabled("columnar"):
-            try:
-                from repro.columnar.relation import ColumnarAURelation
-            except ImportError:
-                pass
-            else:
-                columnar_fact = ColumnarAURelation.from_relation(fact)
-                columnar_dim = ColumnarAURelation.from_relation(dim)
-                _, imp_col_ms = timed_ms(
-                    lambda: columnar_runner(columnar_fact, columnar_dim, threshold)
-                )
-        if isinstance(imp_ms, float) and isinstance(imp_col_ms, float):
-            speedup = imp_ms / imp_col_ms if imp_col_ms else float("inf")
-        result.add(size, imp_ms, imp_col_ms, speedup)
+    enabled = [c for c in timed if _enabled(c)]
+    warmed: set[str] = set()
+    for size in workload.harness_sizes if sizes is None else sizes:
+        args = workload.inputs(size, seed=seed)
+        running = [c for c in enabled if not (c.quadratic and size > quadratic_ceiling)]
+        columnar_args = (
+            columnar_inputs(args) if any(not c.row_inputs for c in running) else args
+        )
+        results, ms = _timed_runs(
+            {c.name: partial(c, args, columnar_args) for c in running}, warmed
+        )
+        _check_agreement(name, size, results)
+        result.add(
+            size,
+            *(ms.get(c.name, "-") for c in timed),
+            *(_ratio(ms, baseline, contender) for _, baseline, contender in workload.ratios),
+        )
     return result
 
 
-def pipeline_scaling(*, sizes: Sequence[int] = (64, 128, 256, 512), seed: int = 0) -> ExperimentResult:
-    """Multi-operator pipeline (select -> join -> project -> window) per backend."""
-    from repro.workloads.pipeline import run_pipeline_columnar, run_pipeline_python
+def pipeline_scaling(*, sizes: Sequence[int] | None = None, seed: int = 0) -> ExperimentResult:
+    """Multi-operator pipeline (select -> join -> project -> window) per backend.
 
-    return _pipeline_backend_scaling(
-        "pipeline",
-        "Multi-operator RA+ pipeline runtime (ms): select -> join -> project -> window",
-        run_pipeline_python,
-        run_pipeline_columnar,
-        sizes=sizes,
-        seed=seed,
-    )
+    ``Imp`` materialises a row-major relation between every stage;
+    ``Imp-Col`` runs the identical plan as one
+    :class:`~repro.columnar.plan.ColumnarPlan` chain.
+    """
+    return workload_table("pipeline", sizes=sizes, seed=seed)
 
 
 def groupby_pipeline_scaling(
-    *, sizes: Sequence[int] = (64, 128, 256, 512), seed: int = 0
+    *, sizes: Sequence[int] | None = None, seed: int = 0
 ) -> ExperimentResult:
     """Grouped-aggregation pipeline (select -> join -> groupby -> window) per backend.
 
     The columnar chain keeps the grouped-aggregation stage columnar between
     the join and the terminal window (no row-major conversion mid-plan).
     """
-    from repro.workloads.pipeline import (
-        run_groupby_pipeline_columnar,
-        run_groupby_pipeline_python,
-    )
-
-    return _pipeline_backend_scaling(
-        "groupby",
-        "Groupby pipeline runtime (ms): select -> join -> groupby -> window",
-        run_groupby_pipeline_python,
-        run_groupby_pipeline_columnar,
-        sizes=sizes,
-        seed=seed,
-    )
+    return workload_table("groupby", sizes=sizes, seed=seed)
 
 
-def multiwindow_scaling(
-    *, sizes: Sequence[int] = (128, 256, 512, 1024), seed: int = 0
-) -> ExperimentResult:
+def multiwindow_scaling(*, sizes: Sequence[int] | None = None, seed: int = 0) -> ExperimentResult:
     """Multi-window plan (select -> join -> window -> select -> window) per path.
 
     The composed RA⁺ setting: the plan *continues past* its first window
-    stage.  Three execution paths over identical inputs:
-
-    * ``Imp`` — tuple-at-a-time operators, row-major between stages;
-    * ``Imp-Col-RT`` — the columnar kernels invoked per stage through the
-      ``backend="columnar"`` entry points, so every stage converts its input
-      to columnar and its result back to row-major (the pre-refactor
-      round-trip execution model; starts from the row-major tables, like
-      ``Imp``);
-    * ``Imp-Col`` — the identical plan as one ``ColumnarPlan`` chain over the
-      columnar-resident tables, converting only at the final ``.to_rows()``.
-
-    ``RT-speedup`` is the no-round-trip win (``Imp-Col-RT`` / ``Imp-Col``);
-    all three paths are bit-identical (``smoke_backends.py`` asserts it).
-    Without NumPy the columnar columns degrade to ``-``.
+    stage.  ``Imp`` runs the tuple-at-a-time operators, ``Imp-Col-RT`` the
+    columnar kernels stage by stage with a row-major round trip per stage,
+    ``Imp-Col`` one ``ColumnarPlan`` chain that converts only at the final
+    ``.to_rows()``.  ``RT-speedup`` is the no-round-trip win
+    (``Imp-Col-RT`` / ``Imp-Col``).
     """
-    from repro.workloads.pipeline import (
-        multiwindow_inputs,
-        run_multiwindow_columnar,
-        run_multiwindow_python,
-        run_multiwindow_roundtrip_columnar,
-    )
-
-    result = ExperimentResult(
-        name="multiwindow",
-        description="Multi-window RA+ plan runtime (ms): select -> join -> window -> select -> window",
-        headers=["Size", "Imp", "Imp-Col-RT", "Imp-Col", "RT-speedup", "Imp-speedup"],
-    )
-    warm_fact, warm_dim, warm_threshold = multiwindow_inputs(min(sizes), seed=seed)
-    if backend_enabled("python"):
-        run_multiwindow_python(warm_fact, warm_dim, warm_threshold)
-    if backend_enabled("columnar"):
-        try:
-            run_multiwindow_columnar(warm_fact, warm_dim, warm_threshold)
-        except ImportError:  # pragma: no cover - environment dependent
-            pass
-    for size in sizes:
-        fact, dim, threshold = multiwindow_inputs(size, seed=seed)
-        imp_ms: object = "-"
-        if backend_enabled("python"):
-            _, imp_ms = timed_ms(lambda: run_multiwindow_python(fact, dim, threshold))
-        rt_ms: object = "-"
-        chained_ms: object = "-"
-        rt_speedup: object = "-"
-        imp_speedup: object = "-"
-        if backend_enabled("columnar"):
-            try:
-                from repro.columnar.relation import ColumnarAURelation
-            except ImportError:
-                pass
-            else:
-                columnar_fact = ColumnarAURelation.from_relation(fact)
-                columnar_dim = ColumnarAURelation.from_relation(dim)
-                _, rt_ms = timed_ms(
-                    lambda: run_multiwindow_roundtrip_columnar(fact, dim, threshold)
-                )
-                _, chained_ms = timed_ms(
-                    lambda: run_multiwindow_columnar(columnar_fact, columnar_dim, threshold)
-                )
-        if isinstance(chained_ms, float):
-            if isinstance(rt_ms, float):
-                rt_speedup = rt_ms / chained_ms if chained_ms else float("inf")
-            if isinstance(imp_ms, float):
-                imp_speedup = imp_ms / chained_ms if chained_ms else float("inf")
-        result.add(size, imp_ms, rt_ms, chained_ms, rt_speedup, imp_speedup)
-    return result
+    return workload_table("multiwindow", sizes=sizes, seed=seed)
 
 
 def equijoin_scaling(
-    *,
-    sizes: Sequence[int] = (256, 1024, 4096),
-    quadratic_ceiling: int = 1024,
-    seed: int = 0,
+    *, sizes: Sequence[int] | None = None, quadratic_ceiling: int = 1024, seed: int = 0
 ) -> ExperimentResult:
     """Equi-join kernels: Python loop vs columnar pair grid vs searchsorted.
 
     The quadratic contenders (the tuple-at-a-time loop and the
-    ``np.repeat`` × ``np.tile`` grid) only run up to ``quadratic_ceiling``;
-    above it their columns degrade to ``-`` — which is the point: the
-    sort/searchsorted path reaches sizes the pair grid cannot.
+    ``np.repeat`` × ``np.tile`` grid) print ``-`` above
+    ``quadratic_ceiling`` — which is the point: the sort/searchsorted path
+    reaches sizes the pair grid cannot.
     """
-    from repro.workloads.pipeline import (
-        equijoin_inputs,
-        run_equijoin_columnar,
-        run_equijoin_python,
-    )
-
-    result = ExperimentResult(
-        name="equijoin",
-        description="Equi-join runtime (ms): python / columnar grid / columnar searchsorted",
-        headers=["Size", "Imp", "Grid", "SearchSorted"],
-    )
-    for size in sizes:
-        left, right = equijoin_inputs(size, seed=seed)
-        imp_ms: object = "-"
-        grid_ms: object = "-"
-        if size <= quadratic_ceiling and backend_enabled("python"):
-            _, imp_ms = timed_ms(lambda: run_equijoin_python(left, right))
-        fast_ms: object = "-"
-        if backend_enabled("columnar"):
-            try:
-                from repro.columnar.relation import ColumnarAURelation
-            except ImportError:
-                pass
-            else:
-                columnar_left = ColumnarAURelation.from_relation(left)
-                columnar_right = ColumnarAURelation.from_relation(right)
-                if size <= quadratic_ceiling:
-                    _, grid_ms = timed_ms(
-                        lambda: run_equijoin_columnar(columnar_left, columnar_right, method="grid")
-                    )
-                _, fast_ms = timed_ms(
-                    lambda: run_equijoin_columnar(
-                        columnar_left, columnar_right, method="searchsorted"
-                    )
-                )
-        result.add(size, imp_ms, grid_ms, fast_ms)
-    return result
+    return workload_table("equijoin", sizes=sizes, seed=seed, quadratic_ceiling=quadratic_ceiling)
 
 
 def rangejoin_scaling(
-    *,
-    sizes: Sequence[int] = (256, 1024, 4096),
-    quadratic_ceiling: int = 1024,
-    seed: int = 0,
+    *, sizes: Sequence[int] | None = None, quadratic_ceiling: int = 1024, seed: int = 0
 ) -> ExperimentResult:
     """Range×range join kernels: Python loop vs columnar grid vs overlap sweep.
 
     Both sides carry uncertain interval keys, so the searchsorted kernel's
-    certain-side requirement can never hold — before the interval-overlap
-    sweep this workload was grid-only.  The quadratic contenders run up to
-    ``quadratic_ceiling``; above it their columns degrade to ``-`` while the
-    sweep, which enumerates only the possibly-overlapping pairs, keeps
-    scaling.
+    certain-side requirement never holds.  Above ``quadratic_ceiling`` the
+    quadratic contenders print ``-`` while the sweep, which enumerates only
+    the possibly-overlapping pairs, keeps scaling.
     """
-    from repro.workloads.pipeline import (
-        rangejoin_inputs,
-        run_rangejoin_columnar,
-        run_rangejoin_python,
-    )
-
-    result = ExperimentResult(
-        name="rangejoin",
-        description=(
-            "Range-key join runtime (ms): python / columnar grid / columnar sweep"
-        ),
-        headers=["Size", "Imp", "Grid", "Sweep"],
-    )
-    for size in sizes:
-        left, right = rangejoin_inputs(size, seed=seed)
-        imp_ms: object = "-"
-        grid_ms: object = "-"
-        if size <= quadratic_ceiling and backend_enabled("python"):
-            _, imp_ms = timed_ms(lambda: run_rangejoin_python(left, right))
-        sweep_ms: object = "-"
-        if backend_enabled("columnar"):
-            try:
-                from repro.columnar.relation import ColumnarAURelation
-            except ImportError:
-                pass
-            else:
-                columnar_left = ColumnarAURelation.from_relation(left)
-                columnar_right = ColumnarAURelation.from_relation(right)
-                if size <= quadratic_ceiling:
-                    _, grid_ms = timed_ms(
-                        lambda: run_rangejoin_columnar(
-                            columnar_left, columnar_right, method="grid"
-                        )
-                    )
-                _, sweep_ms = timed_ms(
-                    lambda: run_rangejoin_columnar(
-                        columnar_left, columnar_right, method="sweep"
-                    )
-                )
-        result.add(size, imp_ms, grid_ms, sweep_ms)
-    return result
+    return workload_table("rangejoin", sizes=sizes, seed=seed, quadratic_ceiling=quadratic_ceiling)
 
 
 def factjoin_scaling(
-    *,
-    sizes: Sequence[int] = (256, 1024, 4096),
-    quadratic_ceiling: int = 1024,
-    seed: int = 0,
+    *, sizes: Sequence[int] | None = None, quadratic_ceiling: int = 1024, seed: int = 0
 ) -> ExperimentResult:
     """The factorised select → join → select → window chain vs the expanded paths.
 
-    The Python backend and the eager pair-grid contender only run up to
-    ``quadratic_ceiling`` — above it their columns degrade to ``-``, which is
-    the point: the factorised representation (matched-pair index vectors, no
-    payload gather before the boundary) reaches N=4096 where the grid's
-    ``O(|L|·|R|)`` scratch exceeds its memory ceiling.  At the capped sizes
-    the three results are checked bit-identical at ``.to_rows()`` (a mismatch
-    raises, so the table never reports timings for diverging plans).
+    The factorised representation (matched-pair index vectors, no payload
+    gather before the boundary) reaches N=4096, where the Python backend and
+    the eager pair grid, capped at ``quadratic_ceiling``, print ``-``.
     """
-    from repro.errors import ReproError
-    from repro.workloads.pipeline import (
-        factjoin_inputs,
-        run_factjoin_columnar,
-        run_factjoin_python,
-    )
-
-    result = ExperimentResult(
-        name="factjoin",
-        description=(
-            "select-join-select-window runtime (ms): python / expanded grid / factorised"
-        ),
-        headers=["Size", "Imp", "Grid", "Factorised"],
-    )
-    for size in sizes:
-        left, right, v_threshold, w_threshold = factjoin_inputs(size, seed=seed)
-        imp_ms: object = "-"
-        python_rows = None
-        if size <= quadratic_ceiling and backend_enabled("python"):
-            python_rows, imp_ms = timed_ms(
-                lambda: run_factjoin_python(left, right, v_threshold, w_threshold)
-            )
-        grid_ms: object = "-"
-        fact_ms: object = "-"
-        if backend_enabled("columnar"):
-            try:
-                from repro.columnar.relation import ColumnarAURelation
-            except ImportError:
-                pass
-            else:
-                columnar_left = ColumnarAURelation.from_relation(left)
-                columnar_right = ColumnarAURelation.from_relation(right)
-                grid_rows = None
-                if size <= quadratic_ceiling:
-                    grid_rows, grid_ms = timed_ms(
-                        lambda: run_factjoin_columnar(
-                            columnar_left, columnar_right, v_threshold, w_threshold,
-                            method="grid",
-                        )
-                    )
-                fact_rows, fact_ms = timed_ms(
-                    lambda: run_factjoin_columnar(
-                        columnar_left, columnar_right, v_threshold, w_threshold
-                    )
-                )
-                for label, other in (("python", python_rows), ("grid", grid_rows)):
-                    if other is not None and (
-                        fact_rows.schema != other.schema
-                        or fact_rows._rows != other._rows
-                    ):
-                        raise ReproError(
-                            f"factjoin: factorised result diverges from the "
-                            f"{label} backend at size {size}"
-                        )
-        result.add(size, imp_ms, grid_ms, fact_ms)
-    return result
+    return workload_table("factjoin", sizes=sizes, seed=seed, quadratic_ceiling=quadratic_ceiling)
 
 
 def serve_scaling(
@@ -1023,10 +848,9 @@ def serve_scaling(
     (``delta speedup``'s denominator — the delta-cost contender).  Reports
     query throughput (QPS) and tail latency (p99 ms) for the first two, plus
     the patched-vs-rebuilt delta-application speedup; all three modes'
-    answers are asserted bit-identical at every size.
+    answers are asserted bit-identical at every size.  Every serving mode is
+    columnar, so without NumPy every column prints ``-``.
     """
-    from repro.errors import ReproError
-
     result = ExperimentResult(
         name="serve",
         description=(
@@ -1037,18 +861,14 @@ def serve_scaling(
             "Size", "Inc QPS", "Direct QPS", "Inc p99", "Direct p99", "delta speedup",
         ],
     )
-    if not backend_enabled("columnar"):
+    if not (backend_enabled("columnar") and _numpy_available()):
         for size in sizes:
             result.add(size, "-", "-", "-", "-", "-")
         return result
-    try:
-        from repro.workloads.serve import (
-            latency_summary, run_serve_mix, serve_inputs, serve_schedule,
-        )
-    except ImportError:  # pragma: no cover - environment dependent
-        for size in sizes:
-            result.add(size, "-", "-", "-", "-", "-")
-        return result
+    from repro.workloads.serve import (
+        latency_summary, run_serve_mix, serve_inputs, serve_schedule,
+    )
+
     for size in sizes:
         base = serve_inputs(size, seed=seed)
         schedule = serve_schedule(base, queries=queries, deltas=deltas, seed=seed)
@@ -1059,7 +879,7 @@ def serve_scaling(
         )
         for label, other in (("direct", direct_rows), ("rebuilt", rebuilt_rows)):
             for a, b in zip(inc_rows, other):
-                if a.schema != b.schema or a._rows != b._rows:
+                if not same_rows(a, b):
                     raise ReproError(
                         f"serve: incremental serving diverges from the {label} "
                         f"mode at size {size}"
@@ -1091,16 +911,16 @@ def sql_scaling(
     ``quadratic_ceiling`` (their columns degrade to ``-``); at every size
     that runs more than one mode the results are checked bit-identical at
     ``.to_rows()`` before any timing is reported, and the ``Kernels`` column
-    records what the optimized joins resolved to (never the grid on this
-    workload's certain keys).
+    records what the timed optimized run's joins resolved to (never the grid
+    on this workload's certain keys).  The SQL compiler imports the columnar
+    package even for the python backend, so without NumPy every column
+    prints ``-``.
     """
-    from repro.errors import ReproError
     from repro.workloads.sql import (
         run_sql_optimized,
         run_sql_python,
         run_sql_unoptimized,
         sql_catalog,
-        sql_join_kernels,
     )
 
     result = ExperimentResult(
@@ -1111,40 +931,31 @@ def sql_scaling(
         ),
         headers=["Size", "Imp", "Unopt", "Opt", "Kernels"],
     )
+    python = backend_enabled("python") and _numpy_available()
+    columnar = backend_enabled("columnar") and _numpy_available()
+    warmed: set[str] = set()
     for size in sizes:
         catalog = sql_catalog(size, seed=seed)
-        imp_ms: object = "-"
-        python_rows = None
-        if size <= quadratic_ceiling and backend_enabled("python"):
-            python_rows, imp_ms = timed_ms(lambda: run_sql_python(catalog))
-        unopt_ms: object = "-"
-        opt_ms: object = "-"
+        runners = {}
+        if python and size <= quadratic_ceiling:
+            runners["python"] = partial(run_sql_python, catalog)
+        if columnar and size <= quadratic_ceiling:
+            runners["unoptimized"] = partial(run_sql_unoptimized, catalog)
+        if columnar:
+            runners["optimized"] = partial(run_sql_optimized, catalog)
+        results, ms = _timed_runs(runners, warmed)
         kernels: object = "-"
-        if backend_enabled("columnar"):
-            try:
-                import numpy  # noqa: F401 - the columnar backend needs it
-            except ImportError:
-                pass
-            else:
-                unopt_rows = None
-                if size <= quadratic_ceiling:
-                    unopt_rows, unopt_ms = timed_ms(
-                        lambda: run_sql_unoptimized(catalog)
-                    )
-                opt_rows, opt_ms = timed_ms(lambda: run_sql_optimized(catalog))
-                kernels = "+".join(sql_join_kernels(catalog))
-                for label, other in (
-                    ("python", python_rows), ("unoptimized", unopt_rows),
-                ):
-                    if other is not None and (
-                        opt_rows.schema != other.schema
-                        or opt_rows._rows != other._rows
-                    ):
-                        raise ReproError(
-                            f"sql: the optimized plan diverges from the "
-                            f"{label} execution at size {size}"
-                        )
-        result.add(size, imp_ms, unopt_ms, opt_ms, kernels)
+        if "optimized" in results:
+            results["optimized"], join_kernels = results["optimized"]
+            kernels = "+".join(join_kernels)
+        _check_agreement("sql", size, results)
+        result.add(
+            size,
+            ms.get("python", "-"),
+            ms.get("unoptimized", "-"),
+            ms.get("optimized", "-"),
+            kernels,
+        )
     return result
 
 

@@ -19,21 +19,20 @@ query plans — the compositions the AU-DB closure theorems are about:
   columnar through both windows, the round-trip runner re-materialises
   row-major relations after every stage, isolating the conversion cost the
   columnar-native window output removes), and
-* a large-N equi-join with certain integer keys and ~50% overlap
-  (:func:`equijoin_inputs`, :func:`run_equijoin_python` /
-  :func:`run_equijoin_columnar` with ``method="grid" | "searchsorted"``), and
-* a large-N range×range join whose keys are uncertain intervals on *both*
+* two large-N joins on ``k`` (:func:`run_join_python` /
+  :func:`run_join_columnar`): an equi-join with certain integer keys and
+  ~50% overlap (:func:`equijoin_inputs`; ``method="grid" | "searchsorted"``),
+  and a range×range join whose keys are uncertain intervals on *both*
   sides — grid-only before the interval-overlap sweep kernel
-  (:func:`rangejoin_inputs`, :func:`run_rangejoin_python` /
-  :func:`run_rangejoin_columnar` with ``method="grid" | "sweep"``).
+  (:func:`rangejoin_inputs`; ``method="grid" | "sweep"``).
 
 Each python runner materialises a row-major
 :class:`~repro.core.relation.AURelation` between stages; the columnar
 runners chain a :class:`~repro.columnar.plan.ColumnarPlan` that stays in the
 columnar layout until the explicit ``.to_rows()`` boundary.  The results are
-bit-identical; ``benchmarks/smoke_backends.py`` asserts it and
-``benchmarks/bench_pipeline_ops.py`` / the ``pipeline`` / ``groupby`` /
-``multiwindow`` / ``equijoin`` harness ids measure the speedups.
+bit-identical; :mod:`repro.workloads.registry` declares each workload's
+contenders, which the harness, the smoke run and the benchmarks check
+against each other and time.
 """
 
 from __future__ import annotations
@@ -63,11 +62,9 @@ __all__ = [
     "run_multiwindow_columnar",
     "run_multiwindow_roundtrip_columnar",
     "equijoin_inputs",
-    "run_equijoin_python",
-    "run_equijoin_columnar",
     "rangejoin_inputs",
-    "run_rangejoin_python",
-    "run_rangejoin_columnar",
+    "run_join_python",
+    "run_join_columnar",
     "FACTJOIN_WINDOW",
     "factjoin_inputs",
     "run_factjoin_python",
@@ -293,22 +290,6 @@ def equijoin_inputs(rows: int, *, seed: int = 0) -> tuple[AURelation, AURelation
     return left, right
 
 
-def run_equijoin_python(left: AURelation, right: AURelation) -> AURelation:
-    from repro.core.operators import join
-
-    return join(left, right, on=["k"])
-
-
-def run_equijoin_columnar(left, right, *, method: str = "auto") -> AURelation:
-    """Columnar equi-join via the selected pair-enumeration kernel."""
-    from repro.columnar import operators as col_ops
-    from repro.columnar.relation import as_columnar
-
-    return col_ops.join(
-        as_columnar(left), as_columnar(right), on=["k"], method=method
-    ).to_relation()
-
-
 def rangejoin_inputs(rows: int, *, seed: int = 0) -> tuple[AURelation, AURelation]:
     """Two ``rows``-sized relations whose join keys are uncertain on *both* sides.
 
@@ -340,18 +321,20 @@ def rangejoin_inputs(rows: int, *, seed: int = 0) -> tuple[AURelation, AURelatio
     return left, right
 
 
-def run_rangejoin_python(left: AURelation, right: AURelation) -> AURelation:
+def run_join_python(left: AURelation, right: AURelation) -> AURelation:
+    """The join on ``k`` on the tuple-at-a-time backend."""
     from repro.core.operators import join
 
     return join(left, right, on=["k"])
 
 
-def run_rangejoin_columnar(left, right, *, method: str = "auto") -> AURelation:
-    """Columnar range×range join via the selected pair-enumeration kernel.
+def run_join_columnar(left, right, *, method: str = "auto") -> AURelation:
+    """The join on ``k`` via the selected columnar pair-enumeration kernel.
 
-    ``method="auto"`` (and ``"sweep"``) enumerate only the possibly
-    overlapping ``[lb, ub]×[lb, ub]`` candidate pairs; ``method="grid"``
-    forces the quadratic contender for the differential cross-check.
+    ``method="auto"`` enumerates only match candidates — searchsorted for
+    certain keys, the interval-overlap sweep when both sides carry ranges;
+    ``method="grid"`` forces the quadratic contender for the differential
+    cross-check.
     """
     from repro.columnar import operators as col_ops
     from repro.columnar.relation import as_columnar

@@ -33,7 +33,6 @@ __all__ = [
     "run_sql_optimized",
     "run_sql_unoptimized",
     "run_sql_python",
-    "sql_join_kernels",
 ]
 
 SQL_SCALING_QUERY = (
@@ -86,11 +85,17 @@ def sql_catalog(rows: int, *, seed: int = 0) -> dict[str, AURelation]:
     return {"orders": orders, "parts": parts}
 
 
-def run_sql_optimized(catalog: dict) -> AURelation:
-    """The scaling query through the full rule pipeline (columnar backend)."""
-    from repro.sql import run_sql
+def run_sql_optimized(catalog: dict) -> tuple[AURelation, tuple[str, ...]]:
+    """The scaling query through the full rule pipeline (columnar backend).
 
-    return run_sql(SQL_SCALING_QUERY, catalog)
+    Returns the result and, from the same run, the pair-enumeration kernels
+    its joins resolved to.  The query compiles inside the call, as in
+    :func:`~repro.sql.run_sql`.
+    """
+    from repro.sql import compile_sql
+
+    compiled = compile_sql(SQL_SCALING_QUERY, catalog)
+    return compiled.run(), compiled.join_kernels
 
 
 def run_sql_unoptimized(catalog: dict) -> AURelation:
@@ -106,11 +111,3 @@ def run_sql_python(catalog: dict) -> AURelation:
 
     return run_sql(SQL_SCALING_QUERY, catalog, backend="python")
 
-
-def sql_join_kernels(catalog: dict) -> tuple[str, ...]:
-    """The pair-enumeration kernels the optimized query's joins resolve to."""
-    from repro.sql import compile_sql
-
-    compiled = compile_sql(SQL_SCALING_QUERY, catalog)
-    compiled.run()
-    return compiled.join_kernels

@@ -6,10 +6,9 @@ np = pytest.importorskip("numpy", reason="the columnar backend requires NumPy")
 
 from repro.columnar.kernels import (
     dense_rank_codes,
-    emission_schedule,
     lex_rank_pairs,
     order_code_matrices,
-    sort_position_bounds,
+    sort_position_bounds_ranked,
 )
 from repro.columnar.relation import ColumnarAURelation, as_columnar, column_array
 from repro.columnar.sort import sort_columnar
@@ -20,6 +19,50 @@ from repro.errors import OperatorError
 from repro.ranking.positions import position_bounds
 from repro.ranking.semantics import sort_rewrite
 from repro.workloads.examples import sales_audb
+
+
+def emission_schedule(earliest_rank, latest_rank):
+    """Batched heap feeding: the close index of every tuple's uncertainty window.
+
+    The native sweep feeds tuples into a min-heap in earliest-key order and
+    emits a tuple once an incoming tuple certainly follows it.  Vectorized,
+    tuple ``i`` closes after exactly ``count(j : earliest[j] <= latest[i])``
+    tuples of the earliest-ordered stream have been fed — which is also the
+    prefix of that stream contributing to ``i``'s position upper bound.
+    """
+    order = np.argsort(earliest_rank, kind="stable")
+    return np.searchsorted(earliest_rank[order], latest_rank, side="right")
+
+
+def certain_frame_members(defining_lb, defining_ub, pos_lb, pos_ub, certain, preceding):
+    """Mask ``M[d, e]``: duplicate ``e`` is certainly in ``d``'s frame.
+
+    The quadratic reference for :class:`~repro.columnar.kernels.FrameMemberIndex`.
+    A certain duplicate is certainly inside an ``N PRECEDING AND CURRENT
+    ROW`` window when its position interval is contained in the positions the
+    window certainly covers — it starts no earlier than the latest possible
+    window start and ends no later than the earliest possible window end
+    (the containment condition of Fig. 6).  The self pair is not masked out.
+    """
+    low = (defining_ub - preceding)[:, None]
+    return (
+        certain[None, :]
+        & (pos_lb[None, :] >= low)
+        & (pos_ub[None, :] <= defining_lb[:, None])
+    )
+
+
+def possible_frame_members(defining_lb, defining_ub, pos_lb, pos_ub, preceding):
+    """Mask ``M[d, e]``: duplicate ``e`` possibly falls into ``d``'s frame.
+
+    The quadratic reference for :class:`~repro.columnar.kernels.FrameMemberIndex`:
+    the overlap condition of Fig. 6, where the candidate's position interval
+    intersects the positions the window possibly covers.  Certain members
+    also satisfy it.
+    """
+    return (pos_lb[None, :] <= defining_ub[:, None]) & (
+        pos_ub[None, :] >= (defining_lb[:, None] - preceding)
+    )
 
 
 def mixed_relation() -> AURelation:
@@ -112,7 +155,7 @@ class TestKernels:
     def test_sort_position_bounds_match_definitional(self):
         relation = sales_audb()
         columnar = ColumnarAURelation.from_relation(relation)
-        lower, sg, upper = sort_position_bounds(columnar, ["sales"])
+        lower, sg, upper, _latest_rank = sort_position_bounds_ranked(columnar, ["sales"])
         for i, (tup, _mult) in enumerate(relation):
             expected = position_bounds(relation, ["sales"], tup)
             assert (int(lower[i]), int(sg[i]), int(upper[i])) == (
@@ -146,20 +189,14 @@ class TestKernels:
     def test_frame_member_index_matches_mask_kernels(self):
         """The searchsorted pair sweep agrees with the reference mask kernels.
 
-        ``certain_frame_members`` / ``possible_frame_members`` stay in the
-        kernel module as the quadratic reference implementation; the
-        position-sorted :class:`FrameMemberIndex` must reproduce their
-        member sets pair for pair on randomized position intervals.
+        ``certain_frame_members`` / ``possible_frame_members`` (above) are the
+        quadratic reference implementation; the position-sorted
+        :class:`FrameMemberIndex` must reproduce their member sets pair for
+        pair on randomized position intervals.
         """
         import random
 
-        import numpy as np
-
-        from repro.columnar.kernels import (
-            FrameMemberIndex,
-            certain_frame_members,
-            possible_frame_members,
-        )
+        from repro.columnar.kernels import FrameMemberIndex
 
         rng = random.Random(0)
         for trial in range(25):

@@ -1,6 +1,12 @@
 """Unit tests for the experiment harness (adapters, reporting, CLI wiring)."""
 
+import dataclasses
+import importlib.util
+import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -185,3 +191,144 @@ class TestCliFlags:
         assert backend_enabled("python") and backend_enabled("columnar")
         monkeypatch.setenv("REPRO_BACKEND", "python")
         assert backend_enabled("python") and not backend_enabled("columnar")
+
+
+#: Per harness table: the options for two tiny sizes (16 and 32 rows,
+#: with the quadratic ceiling between them), the table's header, and the
+#: columns capped above the ceiling.
+TABLES = {
+    "pipeline": ({}, ["Size", "Imp", "Imp-Col", "speedup"], ()),
+    "groupby": ({}, ["Size", "Imp", "Imp-Col", "speedup"], ()),
+    "multiwindow": (
+        {},
+        ["Size", "Imp", "Imp-Col-RT", "Imp-Col", "RT-speedup", "Imp-speedup"],
+        (),
+    ),
+    "equijoin": (
+        {"quadratic_ceiling": 16}, ["Size", "Imp", "Grid", "SearchSorted"], ("Imp", "Grid")
+    ),
+    "rangejoin": ({"quadratic_ceiling": 16}, ["Size", "Imp", "Grid", "Sweep"], ("Imp", "Grid")),
+    "factjoin": (
+        {"quadratic_ceiling": 16}, ["Size", "Imp", "Grid", "Factorised"], ("Imp", "Grid")
+    ),
+    "serve": (
+        {"queries": 6, "deltas": 2},
+        ["Size", "Inc QPS", "Direct QPS", "Inc p99", "Direct p99", "delta speedup"],
+        (),
+    ),
+    "sql": (
+        {"quadratic_ceiling": 16}, ["Size", "Imp", "Unopt", "Opt", "Kernels"], ("Imp", "Unopt")
+    ),
+}
+
+
+def _load_smoke():
+    path = pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "smoke_backends.py"
+    spec = importlib.util.spec_from_file_location("smoke_backends", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _drops_first_row(run):
+    """``run`` with the first row of its result removed."""
+
+    def dropped(*args):
+        result = run(*args).copy()
+        del result._rows[next(iter(result._rows))]
+        return result
+
+    return dropped
+
+
+class TestWorkloadTables:
+    """Every harness table runs small, and the registry gates fail when they should."""
+
+    @pytest.mark.parametrize("experiment", sorted(TABLES))
+    def test_table_runs_small_and_caps_quadratic_contenders(self, experiment, monkeypatch):
+        pytest.importorskip("numpy", reason="the columnar backend requires NumPy")
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        options, headers, capped = TABLES[experiment]
+        result = ALL_EXPERIMENTS[experiment](sizes=(16, 32), seed=1, **options)
+        assert result.headers == headers
+        assert [row[0] for row in result.rows] == [16, 32]
+        assert all(len(row) == len(headers) for row in result.rows)
+        small, large = result.rows
+        for header, below, above in zip(headers[1:], small[1:], large[1:]):
+            assert below != "-", header
+            assert (above == "-") == (header in capped), header
+
+    def test_tables_print_dashes_for_columnar_contenders_without_numpy(self):
+        code = (
+            "import json, sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from repro.harness.figures import ALL_EXPERIMENTS\n"
+            f"tables = {({name: spec[0] for name, spec in TABLES.items()})!r}\n"
+            "print(json.dumps({name: ALL_EXPERIMENTS[name](sizes=(16,), **options).rows[0]\n"
+            "                  for name, options in tables.items()}))\n"
+        )
+        src = pathlib.Path(__file__).resolve().parents[2] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        env.pop("REPRO_BACKEND", None)
+        completed = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert completed.returncode == 0, completed.stderr
+        rows = json.loads(completed.stdout)
+        for name in ("pipeline", "groupby", "multiwindow", "equijoin", "rangejoin", "factjoin"):
+            imp, *columnar = rows[name][1:]
+            assert isinstance(imp, float), name
+            assert columnar == ["-"] * len(columnar), name
+        # Serving is columnar only; the SQL compiler imports the columnar
+        # package even for the python backend.
+        assert rows["serve"][1:] == ["-"] * 5
+        assert rows["sql"][1:] == ["-"] * 4
+
+    @pytest.mark.parametrize("change", ["drop", "ceiling", "kernel"])
+    def test_smoke_gates_fail(self, change, monkeypatch, capsys):
+        """A dropped row, a breached pair-count ceiling (8·8 ≥ 64) or a wrong
+        planned kernel is one smoke failure, even outside strict mode."""
+        pytest.importorskip("numpy", reason="the columnar backend requires NumPy")
+        from repro.workloads import registry
+
+        monkeypatch.delenv("REPRO_SMOKE_STRICT_PERF", raising=False)
+        workload = registry.WORKLOADS["pipeline"]
+        python, columnar = workload.contenders
+        broken, message = {
+            "drop": (
+                {"contenders": (python, dataclasses.replace(
+                    columnar, run=_drops_first_row(columnar.run)))},
+                "FAIL: pipeline rows=32: columnar diverges from python",
+            ),
+            "ceiling": (
+                {"ceilings": (registry.Ceiling("pairs", "grid", lambda *args: (8, 64)),)},
+                "FAIL: pipeline: pairs=8 is not below grid=64 / 8",
+            ),
+            "kernel": (
+                {"planned_kernel": ("sweep", lambda *args: "grid")},
+                "FAIL: method='auto' planned 'grid' for pipeline, not 'sweep'",
+            ),
+        }[change]
+        monkeypatch.setitem(
+            registry.WORKLOADS, "pipeline", dataclasses.replace(workload, **broken)
+        )
+        assert _load_smoke().smoke_workload("pipeline", 32) == 1
+        assert message in capsys.readouterr().out
+
+    def test_table_raises_on_divergence(self, monkeypatch):
+        pytest.importorskip("numpy", reason="the columnar backend requires NumPy")
+        from repro.errors import ReproError
+        from repro.harness.figures import pipeline_scaling
+        from repro.workloads import registry
+
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        workload = registry.WORKLOADS["pipeline"]
+        python, columnar = workload.contenders
+        dropping = dataclasses.replace(columnar, run=_drops_first_row(columnar.run))
+        monkeypatch.setitem(
+            registry.WORKLOADS,
+            "pipeline",
+            dataclasses.replace(workload, contenders=(python, dropping)),
+        )
+        with pytest.raises(ReproError, match="pipeline: contender 'columnar' .* at size 32"):
+            pipeline_scaling(sizes=(32,))
