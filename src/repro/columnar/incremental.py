@@ -1,6 +1,6 @@
 """Incremental maintenance of materialised plan results under delta streams.
 
-An :class:`IncrementalView` wraps a :class:`~repro.columnar.plan.PlanSpec`
+An :class:`IncrementalView` wraps a plan tree (:class:`~repro.plan.PlanSpec`)
 over a base :class:`~repro.core.relation.AURelation` and keeps the
 materialised result current under ``apply_delta(inserts, retracts)`` calls —
 the serving-style access pattern (millions of small reads against
@@ -13,10 +13,11 @@ boundary over key-sorted arrays.  An insertion or retraction therefore
 shifts bounds by *rank-interval offsets* that can be patched against
 maintained sorted permutations instead of recomputed:
 
-* the **prefix** of the plan (``select`` / ``extend`` / ``rename`` — the
-  row-local stages) runs on the delta rows only; the maintained columnar
-  stage input is masked / concatenated, never rebuilt;
-* a trailing **sort / top-k** stage keeps three permutations of the stage
+* the **prefix** of the tree (``select`` / ``extend`` / ``rename`` nodes,
+  the row-local stages) runs on the delta rows only, through the same
+  columnar interpreter as the whole plan; the maintained columnar stage
+  input is masked / concatenated, never rebuilt;
+* a **sort / top-k** node on top keeps three permutations of the stage
   input — latest-key order (also the emission order), earliest-key order,
   and the ``<ᵗᵒᵗᵃˡ_O`` selected-guess order.  Deltas splice rows in and out
   with ``np.searchsorted`` + ``np.insert``
@@ -24,20 +25,20 @@ maintained sorted permutations instead of recomputed:
   :func:`~repro.columnar.kernels.permutation_delete`) and re-evaluate the
   bounds with :func:`~repro.columnar.kernels.rank_offset_bounds` — two
   binary-search passes over the maintained orders, no argsort;
-* a trailing **window** stage (certain ``PARTITION BY`` keys) keeps a
+* a **window** node on top (certain ``PARTITION BY`` keys) keeps a
   per-partition result cache keyed by stable row ids: only partitions the
   delta touched re-sweep, untouched partials are reused verbatim.
 
 Whenever a stage class has no sound patch rule — uncertain partition keys,
 NaN-carrying columns, object-dtype keys, bag-merging stages (``project`` /
-``distinct`` / ``union`` / ``join`` / ``cross`` / ``groupby_aggregate``),
+``join`` / ``groupby_aggregate``),
 a retraction that removes only part of a tuple's multiplicity, or an insert
 colliding with an existing hypercube — the view falls back to a full
 recompute from the accumulated base, so every delta sequence yields exactly
 the from-scratch result (`last_apply` records which path ran; the
 differential property suite pins patched == recomputed bit for bit).
 
->>> from repro.columnar.plan import PlanSpec
+>>> from repro.plan import PlanSpec
 >>> from repro.core.expressions import attr, const
 >>> from repro.core.relation import AURelation
 >>> base = AURelation.from_rows(["k", "v"], [((1, 10), 1), ((2, 30), 1)])
@@ -66,21 +67,22 @@ from repro.columnar.kernels import (
     permutation_insert,
     rank_offset_bounds,
 )
-from repro.columnar.plan import ColumnarPlan, PlanSpec
+from repro.columnar.plan import ColumnarPlan, run_columnar
 from repro.columnar.relation import ColumnarAURelation, concat_relations
 from repro.columnar.sort import ranked_emission
 from repro.core.expressions import attr
 from repro.core.multiplicity import Multiplicity
 from repro.core.relation import AURelation
 from repro.errors import OperatorError, PlanError
+from repro.plan import Extend, Filter, PlanSpec, Rename, Sort, TopK, Window, is_input
 
 __all__ = ["IncrementalView", "as_delta", "merge_delta"]
 
-#: Row-local plan stages the view maintains by running them on delta rows only.
-_PREFIX_STAGES = frozenset({"select", "extend", "rename"})
+#: Row-local nodes the view maintains by running them on delta rows only.
+_PREFIX_NODES = (Filter, Extend, Rename)
 
-#: Trailing ranking stages with a dedicated patch rule.
-_RANKED_STAGES = frozenset({"sort", "topk", "window"})
+#: Ranking nodes with a dedicated patch rule when they top the tree.
+_RANKED_NODES = (Sort, TopK, Window)
 
 
 # ---------------------------------------------------------------------------
@@ -179,41 +181,27 @@ def as_delta(delta, schema, label: str) -> AURelation | None:
 
 
 def _split_spec(spec: PlanSpec):
-    """``(prefix_stages, ranked_stage_or_None)`` when patch rules exist, else ``None``.
+    """``(prefix, ranked_or_None)`` when patch rules exist, else ``None``.
 
-    The patchable shape is ``[select|extend|rename]*`` optionally followed by
-    exactly one trailing ``sort`` / ``topk`` / ``window`` stage.  Every other
-    stage class merges or multiplies rows across hypercubes (``project``,
-    ``distinct``, ``union``, ``join``, ``cross``, ``groupby_aggregate``) and
-    has no whole-row patch rule, so those plans always recompute.
+    The patchable shape is a chain of ``select`` / ``extend`` / ``rename``
+    nodes over the one input (the prefix subtree), optionally topped by
+    exactly one ``sort`` / ``topk`` / ``window`` node.  Every other node
+    merges or multiplies rows across hypercubes (``project``, ``join``,
+    ``groupby_aggregate``) and has no whole-row patch rule, so those plans
+    always recompute.
     """
-    prefix = []
-    stages = spec.stages
-    for i, stage in enumerate(stages):
-        name = stage[0]
-        if name in _PREFIX_STAGES:
-            prefix.append(stage)
-        elif name in _RANKED_STAGES and i == len(stages) - 1:
-            return prefix, stage
-        else:
-            return None
-    return prefix, None
+    ranked = spec if isinstance(spec, _RANKED_NODES) else None
+    prefix = spec.child if ranked is not None else spec
+    node = prefix
+    while isinstance(node, _PREFIX_NODES):
+        node = node.child
+    if not is_input(node):
+        return None
+    return prefix, ranked
 
 
-def _apply_prefix_stage(cols: ColumnarAURelation, stage) -> ColumnarAURelation:
-    name, args, kwargs = stage
-    if name == "select":
-        return ops.select(cols, args[0])
-    if name == "extend":
-        return ops.extend(cols, args[0], args[1])
-    return ops.rename(cols, dict(args[0]))
-
-
-def _run_prefix(prefix, relation: AURelation) -> ColumnarAURelation:
-    cols = ColumnarAURelation.from_relation(relation)
-    for stage in prefix:
-        cols = _apply_prefix_stage(cols, stage)
-    return cols
+def _run_prefix(prefix: PlanSpec, relation: AURelation) -> ColumnarAURelation:
+    return run_columnar(prefix, lambda _leaf: ColumnarPlan(relation), []).columnar()
 
 
 # ---------------------------------------------------------------------------
@@ -274,17 +262,15 @@ class _SortState:
         self.total_perm = total_perm
 
     @staticmethod
-    def build(cols: ColumnarAURelation, stage) -> "_SortState | None":
-        name, args, kwargs = stage
-        order_by = args[0]
+    def build(cols: ColumnarAURelation, node: "Sort | TopK") -> "_SortState | None":
+        order_by = node.order_by
         if len(order_by) != 1:
             # Multi-key sorts compare lexicographic rank *vectors*; raw
             # per-column values cannot replay that with one searchsorted.
             return None
-        options = dict(kwargs)
-        descending = bool(options.get("descending", False))
-        k = int(args[1]) if name == "topk" else None
-        pos_attr = options.get("position_attribute", "pos")
+        descending = bool(node.descending)
+        k = node.k if isinstance(node, TopK) else None
+        pos_attr = node.position_attribute
         arrays = _oriented_sort_arrays(cols, order_by[0], descending)
         if arrays is None:
             return None
@@ -391,7 +377,8 @@ class _WindowState:
         self.cache = cache
 
     @staticmethod
-    def build(cols: ColumnarAURelation, spec) -> "_WindowState | None":
+    def build(cols: ColumnarAURelation, node: Window) -> "_WindowState | None":
+        spec = node.spec
         if not spec.partition_by:
             # No partitions to localise a delta to: one global sweep has no
             # cheaper patch than recomputing the stage.
@@ -642,14 +629,10 @@ class IncrementalView:
     def _build_state(self, base: AURelation):
         prefix, ranked = self._split
         cols = _run_prefix(prefix, base)
-        if ranked is None:
-            stage = None
-        elif ranked[0] == "window":
-            stage = _WindowState.build(cols, ranked[1][0])
-            if stage is None:
-                return None
-        else:
-            stage = _SortState.build(cols, ranked)
+        stage = None
+        if ranked is not None:
+            build = _WindowState.build if isinstance(ranked, Window) else _SortState.build
+            stage = build(cols, ranked)
             if stage is None:
                 return None
         return _ViewState(prefix, cols, stage)

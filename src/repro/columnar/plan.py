@@ -42,6 +42,10 @@ Traceback (most recent call last):
 repro.errors.PlanError: cannot add stage 'window' after .to_rows(): the plan \
 was already materialised to a row-major AURelation; wrap the result in \
 ColumnarPlan(...) to keep querying it
+
+:func:`run_columnar` is the columnar interpreter of the plan tree
+(:mod:`repro.plan`): :meth:`~repro.plan.PlanSpec.apply` and compiled SQL
+queries both run through it, one stage per node.
 """
 
 from __future__ import annotations
@@ -58,24 +62,14 @@ from repro.core.ranges import RangeValue
 from repro.core.relation import AURelation
 from repro.core.tuples import AUTuple
 from repro.errors import PlanError
+from repro.plan import (
+    Aggregate, Extend, Filter, Join, Narrow, PlanSpec, Project, Rename, Sort,
+    TopK, Window, is_input, require_serial,
+)
 from repro.relational.sort import validate_k
 from repro.window.spec import WindowSpec
 
-__all__ = ["ColumnarPlan", "PlanSpec"]
-
-
-def require_serial(workers: object) -> None:
-    """Reject any ``workers`` value other than ``1``.
-
-    The plan, SQL and serving entry points keep the keyword so callers that
-    pass ``workers=1`` keep working; every stage runs in the calling
-    process, so no other value has a meaning.
-    """
-    if type(workers) is not int or workers != 1:
-        raise PlanError(
-            f"workers={workers!r} is not supported: the parallel executor was "
-            "removed and every plan runs serially; pass workers=1 or omit it"
-        )
+__all__ = ["ColumnarPlan", "PlanSpec", "run_columnar"]
 
 
 class ColumnarPlan:
@@ -337,249 +331,59 @@ for _name in _STAGE_NAMES:
 del _name
 
 
-class PlanSpec:
-    """A declarative, immutable description of a :class:`ColumnarPlan` chain.
+def run_columnar(
+    node: PlanSpec,
+    read: Callable[[PlanSpec], "ColumnarPlan"],
+    kernels: list,
+) -> ColumnarPlan:
+    """The columnar interpreter: one :class:`ColumnarPlan` stage per tree node.
 
-    Where :class:`ColumnarPlan` is *eager* (every stage method runs its
-    kernel immediately), a ``PlanSpec`` merely records the stage sequence, so
-    the same plan can be re-run against changing inputs — the contract the
-    incremental views (:mod:`repro.columnar.incremental`) and the serving
-    layer (:mod:`repro.serving`) are built on.  The builder methods mirror
-    the plan stages one for one and each returns a new spec:
-
-    >>> from repro.core.expressions import attr, const
-    >>> from repro.core.relation import AURelation
-    >>> spec = PlanSpec().select(attr("v").gt(const(10))).topk(["v"], 2)
-    >>> audb = AURelation.from_rows(["v"], [((5,), 1), ((20,), 1), ((30,), 1)])
-    >>> for t, _m in spec.apply(ColumnarPlan(audb)).to_rows():
-    ...     print(t.value("v"))
-    20
-    30
-
-    :meth:`shape_key` splits the spec into a hashable *shape* (the stage
-    structure with every expression :class:`~repro.core.expressions.Constant`
-    replaced by a parameter slot) and the tuple of constants, so plans that
-    differ only in literal values share one cache shape;
-    :meth:`bind` produces the spec back from a shape's template and a new
-    parameter tuple without re-deriving the structure:
-
-    >>> shape_a, params_a = spec.shape_key()
-    >>> spec_b = PlanSpec().select(attr("v").gt(const(25))).topk(["v"], 2)
-    >>> shape_b, params_b = spec_b.shape_key()
-    >>> shape_a == shape_b, params_a, params_b
-    (True, (10,), (25,))
-    >>> spec.bind(params_b) == spec_b
-    True
+    A node's inputs run before it (a join's left before its right).
+    ``read`` maps each input leaf (``PlanSpec()`` or a
+    :class:`~repro.plan.Scan`) to its plan; ``kernels`` receives, per join,
+    the pair-enumeration kernel it runs (an ``auto`` request resolved
+    through :func:`~repro.columnar.operators.planned_join_kernel`).
     """
-
-    __slots__ = ("stages",)
-
-    def __init__(self, stages: Sequence[tuple] = ()):
-        #: ``(name, args, sorted_kwargs_items)`` triples, one per plan stage.
-        self.stages: tuple[tuple, ...] = tuple(stages)
-
-    # -- builder methods (one per ColumnarPlan stage) -----------------------
-
-    def _with(self, name: str, args: tuple, kwargs: dict | None = None) -> "PlanSpec":
-        items = tuple(sorted(kwargs.items())) if kwargs else ()
-        return PlanSpec(self.stages + ((name, args, items),))
-
-    def select(self, predicate) -> "PlanSpec":
-        return self._with("select", (predicate,))
-
-    def project(self, attributes: Sequence[str]) -> "PlanSpec":
-        return self._with("project", (tuple(attributes),))
-
-    def extend(self, name: str, expression) -> "PlanSpec":
-        return self._with("extend", (name, expression))
-
-    def rename(self, mapping: Mapping[str, str]) -> "PlanSpec":
-        return self._with("rename", (tuple(sorted(mapping.items())),))
-
-    def distinct(self) -> "PlanSpec":
-        return self._with("distinct", ())
-
-    def union(self, other) -> "PlanSpec":
-        return self._with("union", (other,))
-
-    def cross(self, other) -> "PlanSpec":
-        return self._with("cross", (other,))
-
-    def join(self, other, predicate=None, *, on=None, method="auto") -> "PlanSpec":
-        return self._with(
-            "join",
-            (other, predicate),
-            {"on": None if on is None else tuple(on), "method": method},
-        )
-
-    def groupby_aggregate(self, group_by, aggregates) -> "PlanSpec":
-        return self._with(
-            "groupby_aggregate",
-            (tuple(group_by), tuple(tuple(a) for a in aggregates)),
-        )
-
-    def sort(self, order_by, *, position_attribute="pos", descending=False) -> "PlanSpec":
-        return self._with(
-            "sort",
-            (tuple(order_by),),
-            {"position_attribute": position_attribute, "descending": descending},
-        )
-
-    def topk(
-        self, order_by, k: int, *, position_attribute="pos", descending=False
-    ) -> "PlanSpec":
-        return self._with(
-            "topk",
-            (tuple(order_by), validate_k(k)),
-            {"position_attribute": position_attribute, "descending": descending},
-        )
-
-    def window(self, spec: WindowSpec) -> "PlanSpec":
-        return self._with("window", (spec,))
-
-    # -- execution ----------------------------------------------------------
-
-    def apply(self, plan: ColumnarPlan) -> ColumnarPlan:
-        """Run the recorded stages against an eager plan, in order."""
-        for name, args, kwargs in self.stages:
-            if name == "rename":
-                plan = plan.rename(dict(args[0]))
-            else:
-                plan = getattr(plan, name)(*args, **dict(kwargs))
-        return plan
-
-    # -- shape keys / parameter binding -------------------------------------
-
-    def shape_key(self) -> tuple[tuple, tuple]:
-        """``(shape, params)``: the cacheable structure and its constants.
-
-        ``shape`` is a hashable tuple mirroring the stage list with every
-        expression ``Constant`` replaced by a slot marker; ``params`` holds
-        the constant values in walk order (stage order, args before kwargs,
-        expression trees left to right).  Two specs that differ only in
-        expression literals produce the *same* shape with different params —
-        the plan cache's key discipline.  Non-expression stage inputs
-        (relations, callables) key by object identity when they are not
-        hashable themselves.
-        """
-        params: list = []
-        shape = tuple(
-            (
-                name,
-                tuple(_freeze(a, params) for a in args),
-                tuple((key, _freeze(v, params)) for key, v in kwargs),
-            )
-            for name, args, kwargs in self.stages
-        )
-        return shape, tuple(params)
-
-    def bind(self, params: Sequence) -> "PlanSpec":
-        """This spec with its expression constants replaced by ``params``.
-
-        The walk order matches :meth:`shape_key`, so
-        ``spec.bind(spec.shape_key()[1]) == spec``; binding a different
-        parameter tuple re-targets every literal without re-deriving the
-        stage structure.  Raises :class:`~repro.errors.PlanError` when
-        ``params`` is not a sequence or its length does not match the spec's
-        slots.
-        """
-        try:
-            supply = iter(params)
-        except TypeError:
-            raise PlanError(
-                f"bind() takes a sequence of parameters, got {type(params).__name__}"
-            ) from None
-        stages = []
-        for name, args, kwargs in self.stages:
-            stages.append(
-                (
-                    name,
-                    tuple(_rebind(a, supply) for a in args),
-                    tuple((key, _rebind(v, supply)) for key, v in kwargs),
+    if is_input(node):
+        return read(node)
+    if isinstance(node, Join):
+        left = run_columnar(node.left, read, kernels)
+        right = run_columnar(node.right, read, kernels)
+        if node.method == "auto":
+            kernels.append(
+                ops.planned_join_kernel(
+                    left.factorised(), right.factorised(), node.predicate, on=node.on
                 )
             )
-        leftover = sum(1 for _ in supply)
-        if leftover:
-            raise PlanError(
-                f"bind() got {leftover} more parameter(s) than the spec has slots"
-            )
-        return PlanSpec(stages)
-
-    # -- value protocol ------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PlanSpec):
-            return NotImplemented
-        return self.stages == other.stages
-
-    def __hash__(self) -> int:
-        return hash(("PlanSpec",) + tuple(str(stage) for stage in self.stages))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"PlanSpec({[name for name, _a, _k in self.stages]})"
-
-
-def _freeze(value, params: list):
-    """One shape-key element for a stage input, collecting constants."""
-    from repro.core.expressions import (
-        Arithmetic, Attribute, BooleanOp, Comparison, Constant, IfThenElse, Not,
-    )
-
-    if isinstance(value, Constant):
-        params.append(value.value)
-        return ("?",)
-    if isinstance(value, Attribute):
-        return ("attr", value.name)
-    if isinstance(value, (Arithmetic, Comparison, BooleanOp)):
-        return (
-            type(value).__name__,
-            value.op,
-            _freeze(value.left, params),
-            _freeze(value.right, params),
+        else:
+            kernels.append(node.method)
+        return left.join(
+            right, node.predicate,
+            on=list(node.on) if node.on else None, method=node.method,
         )
-    if isinstance(value, Not):
-        return ("Not", _freeze(value.operand, params))
-    if isinstance(value, IfThenElse):
-        return (
-            "IfThenElse",
-            _freeze(value.condition, params),
-            _freeze(value.then_branch, params),
-            _freeze(value.else_branch, params),
+    plan = run_columnar(node.child, read, kernels)
+    if isinstance(node, Narrow):
+        return plan.narrow(node.attributes)
+    if isinstance(node, Filter):
+        return plan.select(node.predicate)
+    if isinstance(node, Extend):
+        return plan.extend(node.name, node.expression)
+    if isinstance(node, Aggregate):
+        return plan.groupby_aggregate(list(node.group_by), list(node.aggregates))
+    if isinstance(node, Window):
+        return plan.window(node.spec)
+    if isinstance(node, Sort):
+        return plan.sort(
+            list(node.order_by),
+            position_attribute=node.position_attribute, descending=node.descending,
         )
-    if isinstance(value, tuple):
-        return tuple(_freeze(v, params) for v in value)
-    if value is None or isinstance(value, (str, int, float, bool, WindowSpec)):
-        return ("lit", value)
-    try:
-        hash(value)
-    except TypeError:
-        return ("objid", id(value))
-    return ("obj", value)
-
-
-def _rebind(value, supply):
-    """The :meth:`PlanSpec.bind` walk: replace Constants, keep everything else."""
-    from repro.core.expressions import (
-        Arithmetic, Attribute, BooleanOp, Comparison, Constant, IfThenElse, Not,
-    )
-
-    if isinstance(value, Constant):
-        try:
-            return Constant(next(supply))
-        except StopIteration:
-            raise PlanError("bind() got fewer parameters than the spec has slots") from None
-    if isinstance(value, (Arithmetic, Comparison, BooleanOp)):
-        return type(value)(value.op, _rebind(value.left, supply), _rebind(value.right, supply))
-    if isinstance(value, Not):
-        return Not(_rebind(value.operand, supply))
-    if isinstance(value, IfThenElse):
-        return IfThenElse(
-            _rebind(value.condition, supply),
-            _rebind(value.then_branch, supply),
-            _rebind(value.else_branch, supply),
+    if isinstance(node, TopK):
+        return plan.topk(
+            list(node.order_by), node.k,
+            position_attribute=node.position_attribute, descending=node.descending,
         )
-    if isinstance(value, Attribute):
-        return value
-    if isinstance(value, tuple):
-        return tuple(_rebind(v, supply) for v in value)
-    return value
+    if isinstance(node, Project):
+        return plan.project(list(node.attributes))
+    if isinstance(node, Rename):
+        return plan.rename(dict(node.mapping))
+    raise PlanError(f"unknown plan node {type(node).__name__}")

@@ -58,6 +58,7 @@ from repro.core.relation import AURelation
 from repro.core.schema import Schema
 from repro.core.tuples import AUTuple
 from repro.errors import OperatorError
+from repro.relational.aggregates import incomparable_operands
 
 __all__ = [
     "groupby_aggregate",
@@ -263,8 +264,19 @@ def value_aggregate_bounds(
     order is part of the pinned semantics); ``sg_members`` holds
     ``(value, multiplicity)`` per selected-guess member.  The columnar
     backend's scalar fallback calls this directly so both backends share one
-    implementation of the bound arithmetic.
+    implementation of the bound arithmetic.  Member values the aggregate
+    cannot order or add raise :class:`~repro.errors.OperatorError`.
     """
+    try:
+        return _value_aggregate_bounds(func, possible, sg_members)
+    except TypeError as exc:
+        values = [value for value, *_rest in possible] + [value for value, _m in sg_members]
+        raise incomparable_operands(
+            func, [c for value in values for c in (value.lb, value.sg, value.ub)]
+        ) from exc
+
+
+def _value_aggregate_bounds(func, possible, sg_members) -> RangeValue:
     if func == "sum":
         lb = 0.0
         ub = 0.0

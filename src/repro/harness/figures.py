@@ -912,9 +912,7 @@ def sql_scaling(
     that runs more than one mode the results are checked bit-identical at
     ``.to_rows()`` before any timing is reported, and the ``Kernels`` column
     records what the timed optimized run's joins resolved to (never the grid
-    on this workload's certain keys).  The SQL compiler imports the columnar
-    package even for the python backend, so without NumPy every column
-    prints ``-``.
+    on this workload's certain keys).
     """
     from repro.workloads.sql import (
         run_sql_optimized,
@@ -931,7 +929,7 @@ def sql_scaling(
         ),
         headers=["Size", "Imp", "Unopt", "Opt", "Kernels"],
     )
-    python = backend_enabled("python") and _numpy_available()
+    python = backend_enabled("python")
     columnar = backend_enabled("columnar") and _numpy_available()
     warmed: set[str] = set()
     for size in sizes:

@@ -7,7 +7,7 @@ from typing import Iterable, Sequence
 from repro.core.ranges import Scalar
 from repro.errors import OperatorError
 
-__all__ = ["AGGREGATES", "aggregate", "supported_aggregates"]
+__all__ = ["AGGREGATES", "aggregate", "incomparable_operands", "supported_aggregates"]
 
 
 def _agg_sum(values: Sequence[Scalar]) -> Scalar:
@@ -51,11 +51,28 @@ def supported_aggregates() -> tuple[str, ...]:
 
 
 def aggregate(name: str, values: Iterable[Scalar]) -> Scalar:
-    """Apply the named aggregate to a sequence of (deterministic) values."""
+    """Apply the named aggregate to a sequence of (deterministic) values.
+
+    Values the aggregate cannot order or add (``None`` next to a string,
+    ``sum`` over strings) raise :class:`~repro.errors.OperatorError`.
+    """
     try:
         fn = AGGREGATES[name]
     except KeyError as exc:
         raise OperatorError(
             f"unsupported aggregate {name!r}; supported: {supported_aggregates()}"
         ) from exc
-    return fn(list(values))
+    values = list(values)
+    try:
+        return fn(values)
+    except TypeError as exc:
+        raise incomparable_operands(name, values) from exc
+
+
+def incomparable_operands(name: str, values: Iterable[object]) -> OperatorError:
+    """The error for an aggregate whose operand types cannot be combined."""
+    types = "/".join(dict.fromkeys(type(value).__name__ for value in values))
+    return OperatorError(
+        f"cannot compute {name} over {types} values: the operand types are "
+        "not comparable or not numeric"
+    )

@@ -9,10 +9,10 @@ re-running the plan per query:
   keyed by ``(plan shape, parameter tuple)`` so structurally identical
   plans that differ only in expression literals share one compiled shape;
 * :class:`~repro.serving.server.QueryServer` — the sync/async front end:
-  named :class:`~repro.columnar.plan.PlanSpec` templates, per-query
-  parameter binding (:meth:`~repro.columnar.plan.PlanSpec.bind` — no
-  re-planning), and atomic ``apply_delta`` fan-out that patches every
-  cached view in place.
+  named plan-tree templates (:class:`~repro.plan.PlanSpec`, or SQL text
+  lowered to one), per-query parameter binding
+  (:meth:`~repro.plan.PlanSpec.bind` — no re-planning), and atomic
+  ``apply_delta`` fan-out that patches every cached view in place.
 """
 
 from repro.serving.cache import PlanCache

@@ -1,8 +1,8 @@
 """LRU cache of built incremental views, keyed by plan shape + parameters.
 
-The cache key is the pair :meth:`~repro.columnar.plan.PlanSpec.shape_key`
-produces — the stage structure with expression constants slotted out, plus
-the constant tuple — so ``select(v > 10)`` and ``select(v > 25)`` over the
+The cache key is the pair :meth:`~repro.plan.PlanSpec.shape_key`
+produces — the plan tree's structure with expression constants slotted out,
+plus the constant tuple — so ``select(v > 10)`` and ``select(v > 25)`` over the
 same template occupy two entries under one *shape*, and the server can bind
 new parameters into a registered template without re-deriving the plan.
 

@@ -3,15 +3,15 @@
 A :class:`QueryServer` owns one accumulated base relation and a
 :class:`~repro.serving.cache.PlanCache` of
 :class:`~repro.columnar.incremental.IncrementalView` results.  Callers
-register named :class:`~repro.columnar.plan.PlanSpec` *templates* once;
-each query names a template plus a parameter tuple, which binds into the
-template's constant slots (:meth:`~repro.columnar.plan.PlanSpec.bind` — a
-tree rewrite, no re-planning) and answers from the cached view for that
+register named plan trees (:class:`~repro.plan.PlanSpec`) as *templates*
+once; each query names a template plus a parameter tuple, which binds into
+the template's constant slots (:meth:`~repro.plan.PlanSpec.bind`, a tree
+rewrite, no re-planning) and answers from the cached view for that
 ``(shape, params)`` key, building it only on the first miss.  Deltas fan
 out through :meth:`QueryServer.apply_delta`, which patches every cached
 view in place, so subsequent queries keep hitting warm views.
 
->>> from repro.columnar.plan import PlanSpec
+>>> from repro.plan import PlanSpec
 >>> from repro.core.expressions import attr, const
 >>> from repro.core.relation import AURelation
 >>> base = AURelation.from_rows(["v"], [((3,), 1), ((8,), 1), ((20,), 1)])
@@ -37,9 +37,9 @@ import threading
 from typing import Mapping, Sequence
 
 from repro.columnar.incremental import IncrementalView, as_delta, merge_delta
-from repro.columnar.plan import PlanSpec, require_serial
 from repro.core.relation import AURelation
 from repro.errors import PlanError, ServingError
+from repro.plan import PlanSpec, require_serial
 from repro.serving.cache import PlanCache
 
 __all__ = ["QueryServer"]
@@ -83,11 +83,11 @@ class QueryServer:
     def register(self, name: str, spec: "PlanSpec | str") -> None:
         """Register a named plan template (its constants become slots).
 
-        ``spec`` may also be a single-table SQL template string — it is
-        compiled to a :class:`PlanSpec` once, here, via
+        ``spec`` may also be a single-table SQL template string: it is
+        lowered to its plan tree once, here, via
         :func:`repro.sql.sql_to_spec` (the ``FROM`` table stands for this
         server's base relation); subsequent :meth:`query` calls re-bind the
-        constants through the spec's shape key without re-parsing the SQL.
+        constants through the tree's shape key without re-parsing the SQL.
         """
         if isinstance(spec, str):
             from repro.sql import sql_to_spec

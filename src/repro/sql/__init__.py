@@ -3,11 +3,11 @@
 A hand-rolled tokenizer and recursive-descent parser turn a SQL subset
 (SELECT with expressions / aliases / aggregates, JOIN … ON with equi,
 range-overlap and band predicates, WHERE, GROUP BY, ORDER BY, LIMIT, and
-OVER window clauses) into a logical plan; a rule-based optimizer pushes
-predicates below joins, prunes unreferenced columns and steers joins onto
-the non-quadratic kernels; and the compiler executes the plan as
-:class:`~repro.columnar.plan.ColumnarPlan` stages or the row-at-a-time
-reference operators.  See ``docs/SQL_GUIDE.md``.
+OVER window clauses) into a :class:`~repro.plan.PlanSpec` tree; a rule-based
+optimizer pushes predicates below joins, prunes unreferenced columns and
+steers joins onto the non-quadratic kernels; and the tree runs on the
+columnar interpreter or the python oracle.  :func:`sql_to_spec` returns a
+serving template's tree.  See ``docs/SQL_GUIDE.md``.
 """
 
 from repro.sql.ast import SelectStatement

@@ -1,15 +1,9 @@
-"""AST node types for the ``repro.sql`` frontend.
+"""The statement AST of the ``repro.sql`` frontend.
 
-Two node families live here:
-
-* the **statement AST** the parser produces (``SelectStatement`` and the
-  expression nodes below it) — pure syntax, no name resolution, every node
-  carrying a 1-based source position so later passes can point a caret at
-  the offending token; and
-* the **logical plan** the compiler lowers a statement into (``Scan``,
-  ``Filter``, ``Join``, …) — resolved physical attribute names and core
-  :mod:`repro.core.expressions` trees, the representation the rule-based
-  optimizer (:mod:`repro.sql.optimizer`) rewrites and the backends execute.
+The parser produces a ``SelectStatement`` and the expression nodes below
+it: pure syntax, no name resolution, every node carrying a 1-based source
+position so later passes can point a caret at the offending token.  The
+compiler lowers a statement into the plan tree of :mod:`repro.plan`.
 
 Source positions use ``field(compare=False)`` so golden parser tests can
 compare ASTs structurally without spelling out every line/column.
@@ -18,22 +12,13 @@ compare ASTs structurally without spelling out every line/column.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
-
-from repro.core.schema import Schema
+from typing import Optional
 
 __all__ = [
-    # statement AST
     "SqlExpr", "ColumnRef", "Literal", "BinaryOp", "NotExpr", "FuncCall",
     "WindowClause", "SelectItem", "TableRef", "JoinClause", "OrderItem",
     "SelectStatement",
-    # logical plan
-    "LogicalNode", "Scan", "Narrow", "Filter", "Join", "Extend", "Aggregate",
-    "Window", "Sort", "TopK", "Project", "Rename", "plan_schema", "walk",
 ]
-
-
-# -- statement AST (parser output) ------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -144,160 +129,3 @@ class SelectStatement:
     group_by: tuple[ColumnRef, ...] = ()
     order_by: tuple[OrderItem, ...] = ()
     limit: Optional[int] = None
-
-
-# -- logical plan (compiler + optimizer representation) ----------------------
-
-
-@dataclass(frozen=True)
-class LogicalNode:
-    """Base class for logical plan nodes.
-
-    Each node knows how to derive its output :class:`~repro.core.schema.Schema`
-    from its input(s) — see :func:`plan_schema`.
-    """
-
-
-@dataclass(frozen=True)
-class Scan(LogicalNode):
-    """A base-table scan.  ``schema`` is the catalog relation's schema."""
-
-    table: str
-    schema: Schema
-
-
-@dataclass(frozen=True)
-class Narrow(LogicalNode):
-    """Drop unreferenced columns *without* merging rows.
-
-    The projection-pruning rewrite inserts these below joins and aggregates;
-    unlike the (bag, merging) ``Project`` they keep the exact row sequence,
-    so downstream stages stay bit-identical while column caches slim down.
-    """
-
-    child: LogicalNode
-    attributes: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class Filter(LogicalNode):
-    """A selection; ``predicate`` is a resolved core expression tree."""
-
-    child: LogicalNode
-    predicate: object
-
-
-@dataclass(frozen=True)
-class Join(LogicalNode):
-    """A join; ``on`` holds shared-name equi-keys, ``predicate`` the rest.
-
-    ``method`` is the kernel request handed to
-    :meth:`repro.columnar.plan.ColumnarPlan.join` — the unoptimized compile
-    pins ``"grid"``, the optimizer flips it to ``"auto"`` so the planner
-    resolves searchsorted / sweep / band kernels.
-    """
-
-    left: LogicalNode
-    right: LogicalNode
-    on: Optional[tuple[str, ...]] = None
-    predicate: object = None
-    method: str = "grid"
-
-
-@dataclass(frozen=True)
-class Extend(LogicalNode):
-    """A computed column ``name := expression`` appended to the child."""
-
-    child: LogicalNode
-    name: str
-    expression: object
-
-
-@dataclass(frozen=True)
-class Aggregate(LogicalNode):
-    """Grouped aggregation: ``aggregates`` are ``(fn, attr|None, output)``."""
-
-    child: LogicalNode
-    group_by: tuple[str, ...]
-    aggregates: tuple[tuple[str, Optional[str], str], ...]
-
-
-@dataclass(frozen=True)
-class Window(LogicalNode):
-    """A windowed aggregate; ``spec`` is a :class:`repro.window.WindowSpec`."""
-
-    child: LogicalNode
-    spec: object
-
-
-@dataclass(frozen=True)
-class Sort(LogicalNode):
-    child: LogicalNode
-    order_by: tuple[str, ...]
-    position_attribute: str
-    descending: bool = False
-
-
-@dataclass(frozen=True)
-class TopK(LogicalNode):
-    child: LogicalNode
-    order_by: tuple[str, ...]
-    k: int
-    position_attribute: str
-    descending: bool = False
-
-
-@dataclass(frozen=True)
-class Project(LogicalNode):
-    """The final (merging, bag-semantics) projection to the SELECT list."""
-
-    child: LogicalNode
-    attributes: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class Rename(LogicalNode):
-    """Output aliasing; ``mapping`` is a sorted tuple of (old, new) pairs."""
-
-    child: LogicalNode
-    mapping: tuple[tuple[str, str], ...]
-
-
-def plan_schema(node: LogicalNode) -> Schema:
-    """The output schema a logical node produces.
-
-    >>> from repro.core.schema import Schema
-    >>> scan = Scan("t", Schema(["k", "v"]))
-    >>> plan_schema(Narrow(scan, ("v",))).attributes
-    ('v',)
-    >>> plan_schema(Join(scan, Scan("u", Schema(["k", "w"])), on=("k",))).attributes
-    ('k', 'v', 'k_r', 'w')
-    """
-    if isinstance(node, Scan):
-        return node.schema
-    if isinstance(node, (Narrow, Project)):
-        return plan_schema(node.child).project(node.attributes)
-    if isinstance(node, Filter):
-        return plan_schema(node.child)
-    if isinstance(node, Join):
-        return plan_schema(node.left).concat(plan_schema(node.right), disambiguate=True)
-    if isinstance(node, Extend):
-        return plan_schema(node.child).extend(node.name)
-    if isinstance(node, Aggregate):
-        return Schema(node.group_by + tuple(output for _fn, _attr, output in node.aggregates))
-    if isinstance(node, Window):
-        return plan_schema(node.child).extend(node.spec.output)
-    if isinstance(node, (Sort, TopK)):
-        return plan_schema(node.child).extend(node.position_attribute)
-    if isinstance(node, Rename):
-        return plan_schema(node.child).rename(dict(node.mapping))
-    raise TypeError(f"unknown logical node {type(node).__name__}")
-
-
-def walk(node: LogicalNode):
-    """Yield ``node`` and every descendant, top-down (left before right)."""
-    yield node
-    for child_name in ("child", "left", "right"):
-        child = getattr(node, child_name, None)
-        if isinstance(child, LogicalNode):
-            yield from walk(child)

@@ -1,15 +1,18 @@
-"""Lowering and execution: SQL statements → logical plans → engine stages.
+"""Lowering and execution: SQL statements → plan trees → engine stages.
 
 The compiler resolves names (tables, aliases, columns — every failure a
 positioned :class:`~repro.errors.SqlError`), lowers a parsed
-:class:`~repro.sql.ast.SelectStatement` into the logical plan of
-:mod:`repro.sql.ast`, optionally runs the rule-based optimizer
-(:mod:`repro.sql.optimizer`), and executes the plan on either backend:
+:class:`~repro.sql.ast.SelectStatement` into the plan tree of
+:mod:`repro.plan`, optionally runs the rule-based optimizer
+(:mod:`repro.sql.optimizer`), and runs the tree on one of its two
+interpreters:
 
-* ``backend="columnar"`` emits :class:`~repro.columnar.plan.ColumnarPlan`
-  stages (factorised joins by default);
-* ``backend="python"`` executes the row-at-a-time reference operators —
-  the oracle the SQL-differential property suite compares against.
+* ``backend="columnar"``: :func:`repro.columnar.plan.run_columnar`, one
+  :class:`~repro.columnar.plan.ColumnarPlan` stage per node (factorised
+  joins by default);
+* ``backend="python"``: :func:`repro.plan.run_python`, the row-at-a-time
+  reference operators, the oracle the SQL-differential property suite
+  compares against.  This path imports no NumPy.
 
 The *unoptimized* lowering deliberately pins ``method="grid"`` on every
 join and prunes nothing, so the optimized/unoptimized pair brackets what
@@ -27,16 +30,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
+from repro import plan as L
 from repro.core.expressions import (
     Arithmetic, BooleanOp, Comparison, Expression, Not, attr, const,
 )
 from repro.core.relation import AURelation
 from repro.core.schema import Schema
-from repro.errors import ReproError, SqlError, WindowSpecError
-from repro.sql import ast as L
+from repro.errors import SqlError, WindowSpecError
+from repro.plan import PlanSpec, children, plan_schema, require_serial, run_python
 from repro.sql.ast import (
     BinaryOp, ColumnRef, FuncCall, Literal, NotExpr, SelectStatement, SqlExpr,
-    plan_schema,
 )
 from repro.sql.parser import parse
 from repro.window import WindowSpec
@@ -138,12 +141,12 @@ class _Lowering:
             _Source(names, dict(zip(schema.attributes, physicals)))
         )
 
-    def lower_from(self) -> L.LogicalNode:
+    def lower_from(self) -> PlanSpec:
         statement = self.statement
         scan = self._scan(statement.source)
         self._add_source(statement.source, scan.schema, scan.schema.attributes)
         self.scope.schema = scan.schema
-        plan: L.LogicalNode = scan
+        plan: PlanSpec = scan
         for clause in statement.joins:
             right = self._scan(clause.table)
             combined = self.scope.schema.concat(right.schema, disambiguate=True)
@@ -285,7 +288,7 @@ class _Lowering:
 
     # -- SELECT list ---------------------------------------------------------
 
-    def lower(self) -> L.LogicalNode:
+    def lower(self) -> PlanSpec:
         statement = self.statement
         plan = self.lower_from()
         if statement.where is not None:
@@ -543,16 +546,17 @@ def _dedupe_keep_first(names: Sequence[str]) -> list[str]:
 
 def lower(
     query: str, statement: SelectStatement, schemas: Mapping[str, Schema]
-) -> L.LogicalNode:
-    """Resolve names and lower a parsed statement into the logical plan.
+) -> PlanSpec:
+    """Resolve names and lower a parsed statement into a plan tree.
 
     The result is the *unoptimized* plan: filters sit above the join tree,
-    every join requests the grid kernel, and no columns are pruned.
+    every join requests the grid kernel, and no columns are pruned.  Each
+    ``FROM`` / ``JOIN`` table becomes a :class:`~repro.plan.Scan` leaf.
     """
     return _Lowering(query, statement, schemas).lower()
 
 
-# -- execution ---------------------------------------------------------------
+# -- public API --------------------------------------------------------------
 
 
 def _schema_of(table: str, relation) -> Schema:
@@ -564,120 +568,11 @@ def _schema_of(table: str, relation) -> Schema:
     return schema if isinstance(schema, Schema) else Schema(schema)
 
 
-def _as_python(relation) -> AURelation:
-    if isinstance(relation, AURelation):
-        return relation
-    return relation.to_relation()
-
-
-def _run_python(node: L.LogicalNode, catalog: Mapping) -> AURelation:
-    from repro.core import operators as core_ops
-    from repro.ranking.native import sort_native
-    from repro.window import window_native
-
-    if isinstance(node, L.Scan):
-        return _as_python(catalog[node.table])
-    if isinstance(node, L.Narrow):
-        # Structural only; the narrowed columns are never referenced again,
-        # and the reference backend gains nothing from dropping them early.
-        return _run_python(node.child, catalog)
-    if isinstance(node, L.Filter):
-        return core_ops.select(_run_python(node.child, catalog), node.predicate)
-    if isinstance(node, L.Join):
-        return core_ops.join(
-            _run_python(node.left, catalog), _run_python(node.right, catalog),
-            node.predicate, on=list(node.on) if node.on else None,
-        )
-    if isinstance(node, L.Extend):
-        return core_ops.extend(_run_python(node.child, catalog), node.name, node.expression)
-    if isinstance(node, L.Aggregate):
-        return core_ops.groupby_aggregate(
-            _run_python(node.child, catalog), list(node.group_by), list(node.aggregates)
-        )
-    if isinstance(node, L.Window):
-        return window_native(_run_python(node.child, catalog), node.spec)
-    if isinstance(node, L.Sort):
-        return sort_native(
-            _run_python(node.child, catalog), list(node.order_by),
-            position_attribute=node.position_attribute, descending=node.descending,
-        )
-    if isinstance(node, L.TopK):
-        ranked = sort_native(
-            _run_python(node.child, catalog), list(node.order_by), k=node.k,
-            position_attribute=node.position_attribute, descending=node.descending,
-        )
-        return core_ops.select(ranked, attr(node.position_attribute).lt(node.k))
-    if isinstance(node, L.Project):
-        return core_ops.project(_run_python(node.child, catalog), list(node.attributes))
-    if isinstance(node, L.Rename):
-        return core_ops.rename(_run_python(node.child, catalog), dict(node.mapping))
-    raise TypeError(f"unknown logical node {type(node).__name__}")
-
-
-def _emit_columnar(node: L.LogicalNode, catalog: Mapping, kernels: list):
-    from repro.columnar.operators import planned_join_kernel
-    from repro.columnar.plan import ColumnarPlan
-
-    if isinstance(node, L.Scan):
-        return ColumnarPlan(catalog[node.table])
-    if isinstance(node, L.Narrow):
-        return _emit_columnar(node.child, catalog, kernels).narrow(node.attributes)
-    if isinstance(node, L.Filter):
-        return _emit_columnar(node.child, catalog, kernels).select(node.predicate)
-    if isinstance(node, L.Join):
-        left = _emit_columnar(node.left, catalog, kernels)
-        right = _emit_columnar(node.right, catalog, kernels)
-        if node.method == "auto":
-            kernels.append(
-                planned_join_kernel(
-                    left.factorised(), right.factorised(), node.predicate, on=node.on
-                )
-            )
-        else:
-            kernels.append(node.method)
-        return left.join(
-            right, node.predicate,
-            on=list(node.on) if node.on else None, method=node.method,
-        )
-    if isinstance(node, L.Extend):
-        return _emit_columnar(node.child, catalog, kernels).extend(
-            node.name, node.expression
-        )
-    if isinstance(node, L.Aggregate):
-        return _emit_columnar(node.child, catalog, kernels).groupby_aggregate(
-            list(node.group_by), list(node.aggregates)
-        )
-    if isinstance(node, L.Window):
-        return _emit_columnar(node.child, catalog, kernels).window(node.spec)
-    if isinstance(node, L.Sort):
-        return _emit_columnar(node.child, catalog, kernels).sort(
-            list(node.order_by),
-            position_attribute=node.position_attribute, descending=node.descending,
-        )
-    if isinstance(node, L.TopK):
-        return _emit_columnar(node.child, catalog, kernels).topk(
-            list(node.order_by), node.k,
-            position_attribute=node.position_attribute, descending=node.descending,
-        )
-    if isinstance(node, L.Project):
-        return _emit_columnar(node.child, catalog, kernels).project(
-            list(node.attributes)
-        )
-    if isinstance(node, L.Rename):
-        return _emit_columnar(node.child, catalog, kernels).rename(
-            dict(node.mapping)
-        )
-    raise TypeError(f"unknown logical node {type(node).__name__}")
-
-
-# -- public API --------------------------------------------------------------
-
-
 @dataclass
 class CompiledQuery:
     """A parsed, lowered (and optionally optimized) SQL query, ready to run.
 
-    ``plan`` is the logical plan that :meth:`run` executes; ``unoptimized``
+    ``plan`` is the plan tree that :meth:`run` executes; ``unoptimized``
     keeps the pre-rewrite lowering so callers (tests, benchmarks) can run
     both sides of the differential.  ``join_kernels`` records, per join in
     execution order, the pair-enumeration kernel the last :meth:`run` chose
@@ -686,17 +581,21 @@ class CompiledQuery:
 
     query: str
     statement: SelectStatement
-    plan: L.LogicalNode
-    unoptimized: L.LogicalNode
+    plan: PlanSpec
+    unoptimized: PlanSpec
     backend: str
     catalog: Mapping = field(repr=False)
     join_kernels: tuple[str, ...] = ()
 
     def run(self) -> AURelation:
         if self.backend == "python":
-            return _run_python(self.plan, self.catalog)
+            return run_python(self.plan, lambda scan: self.catalog[scan.table])
+        from repro.columnar.plan import ColumnarPlan, run_columnar
+
         kernels: list[str] = []
-        result = _emit_columnar(self.plan, self.catalog, kernels).to_rows()
+        result = run_columnar(
+            self.plan, lambda scan: ColumnarPlan(self.catalog[scan.table]), kernels
+        ).to_rows()
         self.join_kernels = tuple(kernels)
         return result
 
@@ -714,10 +613,8 @@ class CompiledQuery:
             }.get(type(node))
             suffix = f" [{detail(node)}]" if detail else ""
             lines.append("  " * depth + type(node).__name__ + suffix)
-            for name in ("child", "left", "right"):
-                child = getattr(node, name, None)
-                if isinstance(child, L.LogicalNode):
-                    render(child, depth + 1)
+            for child in children(node):
+                render(child, depth + 1)
 
         render(self.plan, 0)
         return "\n".join(lines)
@@ -740,8 +637,6 @@ def compile_sql(
     compatibility only; any value but ``1`` raises
     :class:`~repro.errors.PlanError`.
     """
-    from repro.columnar.plan import require_serial
-
     require_serial(workers)
     if backend not in ("columnar", "python"):
         raise SqlError(f"unknown backend {backend!r}; expected 'columnar' or 'python'")
@@ -770,21 +665,20 @@ def run_sql(
     return compile_sql(query, catalog, optimize=optimize, backend=backend).run()
 
 
-# -- PlanSpec production (serving integration) -------------------------------
+# -- serving templates --------------------------------------------------------
 
 
-def sql_to_spec(query: str, schema: Schema, *, table: str | None = None):
-    """Compile a single-table SQL template into a reusable ``PlanSpec``.
+def sql_to_spec(query: str, schema: Schema, *, table: str | None = None) -> PlanSpec:
+    """Lower a single-table SQL template into its (unoptimized) plan tree.
 
-    The produced spec plugs into :class:`repro.serving.server.QueryServer`:
-    its constants become shape-key slots, so differently-bound parameters
-    share one cached plan shape.  ``schema`` is the base relation's schema;
-    the query's ``FROM`` table (any name, or ``table`` to enforce one) stands
-    for that base relation.  Joins are rejected — a served view reads one
-    base relation.
+    The tree plugs into :class:`repro.serving.server.QueryServer`: its
+    constants become shape-key slots, so differently-bound parameters share
+    one cached plan shape.  ``schema`` is the base relation's schema; the
+    query's ``FROM`` table (any name, or ``table`` to enforce one) is the
+    tree's one input, which :meth:`~repro.plan.PlanSpec.apply` feeds with
+    the base relation.  Joins are rejected: a served view reads one base
+    relation.
     """
-    from repro.columnar.plan import PlanSpec
-
     statement = parse(query)
     if statement.joins:
         raise SqlError(
@@ -797,43 +691,4 @@ def sql_to_spec(query: str, schema: Schema, *, table: str | None = None):
             f"template must read table {table!r}", query=query,
             line=statement.source.line, column=statement.source.column,
         )
-    logical = lower(query, statement, {statement.source.name: schema})
-    spec = PlanSpec()
-
-    def emit(node) -> None:
-        nonlocal spec
-        if isinstance(node, L.Scan):
-            return
-        emit(node.child)
-        if isinstance(node, L.Narrow):
-            return  # structural; served plans re-project at the end anyway
-        if isinstance(node, L.Filter):
-            spec = spec.select(node.predicate)
-        elif isinstance(node, L.Extend):
-            spec = spec.extend(node.name, node.expression)
-        elif isinstance(node, L.Aggregate):
-            spec = spec.groupby_aggregate(list(node.group_by), list(node.aggregates))
-        elif isinstance(node, L.Window):
-            spec = spec.window(node.spec)
-        elif isinstance(node, L.Sort):
-            spec = spec.sort(
-                list(node.order_by),
-                position_attribute=node.position_attribute, descending=node.descending,
-            )
-        elif isinstance(node, L.TopK):
-            spec = spec.topk(
-                list(node.order_by), node.k,
-                position_attribute=node.position_attribute, descending=node.descending,
-            )
-        elif isinstance(node, L.Project):
-            spec = spec.project(list(node.attributes))
-        elif isinstance(node, L.Rename):
-            spec = spec.rename(dict(node.mapping))
-        else:
-            raise SqlError(
-                f"stage {type(node).__name__} cannot be served as a template",
-                query=query,
-            )
-
-    emit(logical)
-    return spec
+    return lower(query, statement, {statement.source.name: schema})

@@ -1,4 +1,4 @@
-"""Rule-based optimizer over the ``repro.sql`` logical plan.
+"""Rule-based optimizer over the plan tree (:mod:`repro.plan`).
 
 Three rewrites, each exported separately so the unit suite can pin them
 one at a time, composed by :func:`optimize_plan`:
@@ -9,7 +9,7 @@ one at a time, composed by :func:`optimize_plan`:
   kernel enumerates surviving pairs in the same left-outer/right-inner
   order, so the rewrite is bit-identical.
 * :func:`prune_columns` — unreferenced columns are dropped at the scans
-  (and below aggregates) through :class:`~repro.sql.ast.Narrow` stages,
+  (and below aggregates) through :class:`~repro.plan.Narrow` stages,
   which restrict columns *without* merging rows.  Ranked stages (sort,
   top-k, window) break ties on all remaining attributes, so the pass
   treats them as requiring every input column — pruning never reaches
@@ -21,20 +21,20 @@ one at a time, composed by :func:`optimize_plan`:
   commute and all kernels re-check candidates exactly, so results stay
   bit-identical.
 
-All three are pure functions from logical plan to logical plan.
+All three are pure functions from plan tree to plan tree.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Mapping, Optional
 
+from repro import plan as L
 from repro.core.expressions import (
     Arithmetic, Attribute, BooleanOp, Comparison, Constant, Expression,
     IfThenElse, Not,
 )
-from repro.sql import ast as L
-from repro.sql.ast import plan_schema
+from repro.plan import PlanSpec, plan_schema
 
 __all__ = [
     "optimize_plan",
@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 
-def optimize_plan(plan: L.LogicalNode, catalog: Mapping | None = None) -> L.LogicalNode:
+def optimize_plan(plan: PlanSpec, catalog: Mapping | None = None) -> PlanSpec:
     """All rewrites, in dependency order (pushdown feeds the pruner)."""
     plan = push_down_predicates(plan)
     plan = prune_columns(plan)
@@ -117,7 +117,7 @@ def _refs(expression) -> frozenset[str] | None:
 # -- predicate pushdown ------------------------------------------------------
 
 
-def push_down_predicates(plan: L.LogicalNode) -> L.LogicalNode:
+def push_down_predicates(plan: PlanSpec) -> PlanSpec:
     """Move filter conjuncts below the joins whose one side they read."""
     if isinstance(plan, L.Filter) and isinstance(plan.predicate, Expression):
         child = push_down_predicates(plan.child)
@@ -129,7 +129,7 @@ def push_down_predicates(plan: L.LogicalNode) -> L.LogicalNode:
     return _rebuild(plan, push_down_predicates)
 
 
-def _push_into(node: L.LogicalNode, conjuncts: list[Expression]) -> Optional[L.LogicalNode]:
+def _push_into(node: PlanSpec, conjuncts: list[Expression]) -> Optional[PlanSpec]:
     """``node`` with the conjuncts filtered as low as they can go.
 
     Returns ``None`` when nothing moved (so the caller keeps its original
@@ -172,8 +172,8 @@ def _push_into(node: L.LogicalNode, conjuncts: list[Expression]) -> Optional[L.L
 # -- projection pruning ------------------------------------------------------
 
 
-def prune_columns(plan: L.LogicalNode) -> L.LogicalNode:
-    """Insert non-merging :class:`~repro.sql.ast.Narrow` stages below joins
+def prune_columns(plan: PlanSpec) -> PlanSpec:
+    """Insert non-merging :class:`~repro.plan.Narrow` stages below joins
     and aggregates so unreferenced columns never enter the column caches."""
     return _prune(plan, None)
 
@@ -183,7 +183,7 @@ def _ordered(schema_attrs, required) -> tuple[str, ...]:
     return kept if kept else schema_attrs[:1]  # keep ≥1 column (row count carrier)
 
 
-def _prune(node: L.LogicalNode, required: Optional[frozenset]) -> L.LogicalNode:
+def _prune(node: PlanSpec, required: Optional[frozenset]) -> PlanSpec:
     if isinstance(node, L.Scan):
         if required is None or required >= set(node.schema.attributes):
             return node
@@ -230,7 +230,7 @@ def _prune(node: L.LogicalNode, required: Optional[frozenset]) -> L.LogicalNode:
     return _rebuild(node, lambda child: _prune(child, None))
 
 
-def _prune_join(node: L.Join, required: Optional[frozenset]) -> L.LogicalNode:
+def _prune_join(node: L.Join, required: Optional[frozenset]) -> PlanSpec:
     left_schema = plan_schema(node.left)
     right_schema = plan_schema(node.right)
     post = left_schema.concat(right_schema, disambiguate=True)
@@ -274,8 +274,8 @@ def _prune_join(node: L.Join, required: Optional[frozenset]) -> L.LogicalNode:
 
 
 def prefer_kernel_joins(
-    plan: L.LogicalNode, catalog: Mapping | None = None
-) -> L.LogicalNode:
+    plan: PlanSpec, catalog: Mapping | None = None
+) -> PlanSpec:
     """Request ``method="auto"`` everywhere and anchor certain join keys first.
 
     ``candidate_key_pairs`` probes the first key for certainty to pick
@@ -285,7 +285,7 @@ def prefer_kernel_joins(
     no catalog the keys keep their query order (still ``auto``).
     """
 
-    def rewrite(node: L.LogicalNode) -> L.LogicalNode:
+    def rewrite(node: PlanSpec) -> PlanSpec:
         if isinstance(node, L.Join):
             on = node.on
             if on and len(on) > 1 and catalog is not None:
@@ -306,7 +306,7 @@ def prefer_kernel_joins(
     return rewrite(plan)
 
 
-def _origin_certain(node: L.LogicalNode, name: str, catalog: Mapping) -> bool:
+def _origin_certain(node: PlanSpec, name: str, catalog: Mapping) -> bool:
     """Whether ``name`` traces to a base-table column that is fully certain.
 
     Filters and narrows only remove rows/columns, so certainty at the scan
@@ -322,7 +322,7 @@ def _origin_certain(node: L.LogicalNode, name: str, catalog: Mapping) -> bool:
     return _column_certain(relation, column)
 
 
-def _origin(node: L.LogicalNode, name: str):
+def _origin(node: PlanSpec, name: str):
     if isinstance(node, L.Scan):
         return (node.table, name) if name in node.schema.attributes else None
     if isinstance(node, (L.Narrow, L.Filter)):
@@ -362,13 +362,11 @@ def _column_certain(relation, column: str) -> bool:
 # -- generic reconstruction --------------------------------------------------
 
 
-def _rebuild(node: L.LogicalNode, recurse) -> L.LogicalNode:
-    """``node`` with each child replaced by ``recurse(child)``."""
-    updates = {}
-    for name in ("child", "left", "right"):
-        child = getattr(node, name, None)
-        if isinstance(child, L.LogicalNode):
-            updates[name] = recurse(child)
-    if not updates:
-        return node
-    return replace(node, **updates)
+def _rebuild(node: PlanSpec, recurse) -> PlanSpec:
+    """``node`` with each input replaced by ``recurse(input)``."""
+    updates = {
+        f.name: recurse(value)
+        for f in fields(node)
+        if isinstance(value := getattr(node, f.name), PlanSpec)
+    }
+    return replace(node, **updates) if updates else node

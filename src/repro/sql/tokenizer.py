@@ -29,6 +29,10 @@ KEYWORDS = frozenset(
 #: Multi-character operators first so ``<=`` never lexes as ``<`` + ``=``.
 _OPERATORS = ("<>", "<=", ">=", "!=", "=", "<", ">", "+", "-", "*", "(", ")", ",", ".")
 
+#: Number literals take ASCII digits only: ``str.isdigit`` also accepts
+#: characters such as ``²`` that ``int()`` rejects.
+_DIGITS = frozenset("0123456789")
+
 
 @dataclass(frozen=True)
 class Token:
@@ -95,14 +99,14 @@ def tokenize(query: str) -> list[Token]:
             column += j - i
             i = j
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and query[j].isdigit():
+            while j < n and query[j] in _DIGITS:
                 j += 1
-            is_float = j < n and query[j] == "." and j + 1 < n and query[j + 1].isdigit()
+            is_float = j < n and query[j] == "." and j + 1 < n and query[j + 1] in _DIGITS
             if is_float:
                 j += 1
-                while j < n and query[j].isdigit():
+                while j < n and query[j] in _DIGITS:
                     j += 1
             text = query[i:j]
             value: object = float(text) if is_float else int(text)

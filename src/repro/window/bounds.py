@@ -22,6 +22,7 @@ from typing import Sequence
 
 from repro.core.ranges import RangeValue
 from repro.errors import OperatorError
+from repro.relational.aggregates import incomparable_operands
 
 __all__ = ["WindowMember", "aggregate_bounds"]
 
@@ -78,8 +79,24 @@ def aggregate_bounds(
     1)`` for ``N PRECEDING`` frames).  When the window is certainly fuller
     than the certain members account for, some possible members must be
     present, which tightens sum and count bounds — this is what lets the
-    running example's rolling sums match Fig. 1g exactly.
+    running example's rolling sums match Fig. 1g exactly.  Member values the
+    aggregate cannot order or add raise :class:`~repro.errors.OperatorError`.
     """
+    try:
+        return _aggregate_bounds(
+            function, self_member, certain, possible, frame_size, sg_value,
+            certain_window_size,
+        )
+    except TypeError as exc:
+        members = list(certain) + list(possible) + ([self_member] if self_member else [])
+        raise incomparable_operands(
+            function, [v for m in members for v in (m.value_lb, m.value_ub)]
+        ) from exc
+
+
+def _aggregate_bounds(
+    function, self_member, certain, possible, frame_size, sg_value, certain_window_size
+) -> RangeValue:
     if function == "sum":
         return _sum_bounds(
             self_member, certain, possible, frame_size, sg_value, certain_window_size

@@ -82,7 +82,7 @@ def serve_templates() -> dict:
     per-category rolling sum, filtered by the same parameterized threshold.
     Both are patchable shapes (prefix + one trailing ranked stage).
     """
-    from repro.columnar.plan import PlanSpec
+    from repro.plan import PlanSpec
 
     return {
         "topk": PlanSpec()

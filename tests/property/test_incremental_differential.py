@@ -16,6 +16,10 @@ hypercubes, retract-to-empty), on both maintenance paths:
   patch rules against the plain plan — if the two ever disagree, the patch
   rule is unsound.
 
+The from-scratch check runs the same plan tree on both interpreters: the
+columnar one (``spec.apply``) and the python oracle
+(:func:`repro.plan.run_python`).
+
 ``last_apply`` is additionally pinned on targeted deltas so the patch path
 is provably *exercised*, not silently falling back to recompute everywhere.
 """
@@ -35,6 +39,7 @@ from repro.core.multiplicity import Multiplicity
 from repro.core.relation import AURelation
 from repro.core.schema import Schema
 from repro.errors import OperatorError
+from repro.plan import run_python
 from repro.window.spec import WindowSpec
 
 from tests.property.strategies import multiplicities, range_values
@@ -147,6 +152,10 @@ def _recompute(spec: PlanSpec, base: AURelation) -> AURelation:
     return spec.apply(ColumnarPlan(base)).to_rows()
 
 
+def _python_oracle(spec: PlanSpec, base: AURelation) -> AURelation:
+    return run_python(spec, lambda _leaf: base)
+
+
 class TestDeltaDifferential:
     @SETTINGS
     @given(
@@ -161,11 +170,13 @@ class TestDeltaDifferential:
         view = IncrementalView(base, spec)
         accumulated = base.copy()
         assert_bit_identical(_recompute(spec, accumulated), view.to_rows())
+        assert_bit_identical(_python_oracle(spec, accumulated), view.to_rows())
         for program in programs:
             inserts, retracts = _build_delta(accumulated, program)
             view.apply_delta(inserts=inserts, retracts=retracts)
             accumulated, _ = merge_delta(accumulated, inserts, retracts)
             assert_bit_identical(_recompute(spec, accumulated), view.to_rows())
+            assert_bit_identical(_python_oracle(spec, accumulated), view.to_rows())
             assert_bit_identical(accumulated, view.base_rows())
 
     @SETTINGS

@@ -26,7 +26,7 @@ DOCTEST_MODULES = [
     "repro.harness.report",
     "repro.sql.tokenizer",
     "repro.sql.parser",
-    "repro.sql.ast",
+    "repro.plan",
 ]
 
 #: Modules needing NumPy (skipped, not failed, when it is unavailable).

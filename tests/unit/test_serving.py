@@ -423,6 +423,22 @@ class TestSqlTemplates:
         assert_bit_identical(expected, server.query("big", (3,)))
         assert server.stats()["hits"] == 1  # warm — the patched view answered
 
+    def test_the_template_is_the_unoptimized_compiled_plan(self):
+        from repro.sql import compile_sql, sql_to_spec
+
+        base = _base()
+        template = sql_to_spec(SQL_TEMPLATE, base.schema)
+        assert template == compile_sql(SQL_TEMPLATE, {"base": base}, optimize=False).plan
+
+    def test_rebinding_gives_the_shape_of_the_query_with_the_constant_written_in(self):
+        from repro.sql import sql_to_spec
+
+        schema = _base().schema
+        template = sql_to_spec(SQL_TEMPLATE, schema)
+        inlined = sql_to_spec(SQL_TEMPLATE.replace("> 5", "> 7"), schema)
+        assert template.bind((7,)).shape_key() == inlined.shape_key()
+        assert template.bind((7,)) == inlined
+
     def test_multi_table_sql_templates_are_rejected(self):
         from repro.errors import SqlError
 

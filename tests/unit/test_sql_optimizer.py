@@ -17,7 +17,7 @@ from repro.core.ranges import RangeValue
 from repro.core.relation import AURelation
 from repro.core.schema import Schema
 from repro.errors import SqlError
-from repro.sql import ast as L
+from repro import plan as L
 from repro.sql.optimizer import (
     expression_attributes,
     optimize_plan,
