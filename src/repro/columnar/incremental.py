@@ -7,36 +7,30 @@ the serving-style access pattern (millions of small reads against
 slowly-changing data) where re-running the plan per delta would spend almost
 all of its time re-deriving state a small delta barely moved.
 
-The position-bound machinery of the paper (Equations 1-3) is
-searchsorted-shaped: every bound is a prefix sum evaluated at a binary-search
-boundary over key-sorted arrays.  An insertion or retraction therefore
-shifts bounds by *rank-interval offsets* that can be patched against
-maintained sorted permutations instead of recomputed:
+A view whose tree is a **prefix** — ``select`` / ``extend`` / ``rename``
+nodes, the row-local stages, over the one input — topped by at most one
+``sort`` / ``topk`` / ``window`` node maintains one value: the prefix
+output, in the columnar layout.  A build runs the prefix once over the
+base; a whole-row delta runs it on the delta rows only and splices them in
+(retracted rows masked out, inserted rows appended), never reading the base
+again.  Every result derives from that value:
 
-* the **prefix** of the tree (``select`` / ``extend`` / ``rename`` nodes,
-  the row-local stages) runs on the delta rows only, through the same
-  columnar interpreter as the whole plan; the maintained columnar stage
-  input is masked / concatenated, never rebuilt;
-* a **sort / top-k** node on top keeps three permutations of the stage
-  input — latest-key order (also the emission order), earliest-key order,
-  and the ``<ᵗᵒᵗᵃˡ_O`` selected-guess order.  Deltas splice rows in and out
-  with ``np.searchsorted`` + ``np.insert``
-  (:func:`~repro.columnar.kernels.permutation_insert` /
-  :func:`~repro.columnar.kernels.permutation_delete`) and re-evaluate the
-  bounds with :func:`~repro.columnar.kernels.rank_offset_bounds` — two
-  binary-search passes over the maintained orders, no argsort;
-* a **window** node on top (certain ``PARTITION BY`` keys) keeps a
-  per-partition result cache keyed by stable row ids: only partitions the
-  delta touched re-sweep, untouched partials are reused verbatim.
+* with no node on top, the prefix output is the result;
+* a **sort / top-k** node re-runs its own stage on it (the top-k stage
+  ranks only the rows that can still reach the top k);
+* a **window** node with certain ``PARTITION BY`` keys, on input the
+  vectorized sweep covers, keeps a per-partition result cache keyed by
+  stable row ids: only partitions the delta touched re-sweep, untouched
+  partials are reused verbatim;
+* any other window re-runs its stage on it.
 
-Whenever a stage class has no sound patch rule — uncertain partition keys,
-NaN-carrying columns, object-dtype keys, bag-merging stages (``project`` /
-``join`` / ``groupby_aggregate``),
-a retraction that removes only part of a tuple's multiplicity, or an insert
-colliding with an existing hypercube — the view falls back to a full
-recompute from the accumulated base, so every delta sequence yields exactly
-the from-scratch result (`last_apply` records which path ran; the
-differential property suite pins patched == recomputed bit for bit).
+Trees of any other shape (``project`` / ``join`` / ``groupby_aggregate``
+merge rows across hypercubes), merging deltas (a retraction that removes
+only part of a tuple's multiplicity, an insert colliding with a stored
+hypercube) and retracted rows the prefix output does not hold recompute
+from the accumulated base, so every delta sequence yields exactly the
+from-scratch result (`last_apply` records which path ran; the differential
+property suite pins patched == recomputed bit for bit).
 
 >>> from repro.plan import PlanSpec
 >>> from repro.core.expressions import attr, const
@@ -56,21 +50,12 @@ differential property suite pins patched == recomputed bit for bit).
 
 from __future__ import annotations
 
-import bisect
+from dataclasses import replace
 
 import numpy as np
 
-from repro.columnar import operators as ops
-from repro.columnar.kernels import (
-    oriented_key_bounds,
-    permutation_delete,
-    permutation_insert,
-    rank_offset_bounds,
-)
 from repro.columnar.plan import ColumnarPlan, run_columnar
 from repro.columnar.relation import ColumnarAURelation, concat_relations
-from repro.columnar.sort import ranked_emission
-from repro.core.expressions import attr
 from repro.core.multiplicity import Multiplicity
 from repro.core.relation import AURelation
 from repro.errors import OperatorError, PlanError
@@ -81,9 +66,8 @@ __all__ = ["IncrementalView", "as_delta", "merge_delta"]
 #: Row-local nodes the view maintains by running them on delta rows only.
 _PREFIX_NODES = (Filter, Extend, Rename)
 
-#: Ranking nodes with a dedicated patch rule when they top the tree.
+#: Ranking nodes that may top a maintained prefix.
 _RANKED_NODES = (Sort, TopK, Window)
-
 
 # ---------------------------------------------------------------------------
 # Delta algebra over the accumulated base
@@ -181,217 +165,64 @@ def as_delta(delta, schema, label: str) -> AURelation | None:
 
 
 def _split_spec(spec: PlanSpec):
-    """``(prefix, ranked_or_None)`` when patch rules exist, else ``None``.
+    """``(prefix, top)`` when the view can maintain a prefix output, else ``None``.
 
-    The patchable shape is a chain of ``select`` / ``extend`` / ``rename``
+    The maintained shape is a chain of ``select`` / ``extend`` / ``rename``
     nodes over the one input (the prefix subtree), optionally topped by
-    exactly one ``sort`` / ``topk`` / ``window`` node.  Every other node
-    merges or multiplies rows across hypercubes (``project``, ``join``,
-    ``groupby_aggregate``) and has no whole-row patch rule, so those plans
-    always recompute.
+    exactly one ``sort`` / ``topk`` / ``window`` node.  ``top`` is that node
+    re-rooted on the input leaf, so it runs on the prefix output, or
+    ``None``.  Every other node merges or multiplies rows across hypercubes
+    (``project``, ``join``, ``groupby_aggregate``) and has no whole-row
+    patch rule, so those plans always recompute.
     """
-    ranked = spec if isinstance(spec, _RANKED_NODES) else None
-    prefix = spec.child if ranked is not None else spec
+    top = spec if isinstance(spec, _RANKED_NODES) else None
+    prefix = spec.child if top is not None else spec
     node = prefix
     while isinstance(node, _PREFIX_NODES):
         node = node.child
     if not is_input(node):
         return None
-    return prefix, ranked
+    return prefix, None if top is None else replace(top, child=PlanSpec())
 
 
-def _run_prefix(prefix: PlanSpec, relation: AURelation) -> ColumnarAURelation:
-    return run_columnar(prefix, lambda _leaf: ColumnarPlan(relation), []).columnar()
+def _run(node: PlanSpec, relation) -> ColumnarAURelation:
+    """Run a one-input tree over ``relation`` through the columnar interpreter."""
+    return run_columnar(node, lambda _leaf: ColumnarPlan(relation), []).columnar()
 
 
 # ---------------------------------------------------------------------------
-# Per-stage patch state
+# Results derived from the prefix output
 # ---------------------------------------------------------------------------
 
 
-def _oriented_sort_arrays(cols: ColumnarAURelation, order_by: str, descending: bool):
-    """Oriented raw key arrays ``(earliest, sg, latest, rest_sg)`` or ``None``.
+class _WindowPartials:
+    """Per-partition result cache for a ``window`` top node with partitions.
 
-    The patch compares raw values where the from-scratch kernels compare
-    dense rank codes; the two are order-isomorphic exactly when every
-    compared array is uniform-numeric and NaN-free, so anything else
-    (object dtype, mixed components, NaN, an ``int64`` minimum that a
-    descending negation would overflow) returns ``None`` and the view
-    recomputes instead.  The order-by column's check is
-    :func:`~repro.columnar.kernels.oriented_key_bounds`, which the top-k
-    prefilter shares.
-    """
-    keys = oriented_key_bounds(cols.column(order_by), descending=descending)
-    if keys is None:
-        return None
-    rest = []
-    for name in cols.schema:
-        if name == order_by:
-            continue
-        sg_arr = cols.column(name).sg
-        if sg_arr.dtype == object:
-            return None
-        if sg_arr.dtype == np.float64 and bool(np.isnan(sg_arr).any()):
-            return None
-        rest.append(sg_arr)
-    return (*keys, rest)
-
-
-class _SortState:
-    """Maintained permutations for a trailing ``sort`` / ``topk`` stage.
-
-    ``latest_perm`` orders stage-input rows by (oriented latest key, row
-    index) — which is also the stage's emission order; ``earliest_perm`` by
-    (oriented earliest key, row index); ``total_perm`` by the ``<ᵗᵒᵗᵃˡ_O``
-    selected-guess order (order-by selected guess, the remaining columns'
-    selected guesses in schema order, row index).  Position bounds re-derive
-    from these with :func:`~repro.columnar.kernels.rank_offset_bounds`.
+    Prefix-output rows carry stable monotone ``ids``; a partition whose id
+    sequence is unchanged by a delta reuses its cached sweep partial
+    verbatim (sound because the patch path only ever inserts or deletes
+    whole rows, so an identical id sequence means an identical row subset in
+    identical order).  Only touched partitions re-sweep.
     """
 
-    __slots__ = ("order_by", "descending", "k", "pos_attr", "latest_perm",
-                 "earliest_perm", "total_perm")
+    __slots__ = ("ids", "next_id", "cache")
 
-    def __init__(self, order_by, descending, k, pos_attr, latest_perm,
-                 earliest_perm, total_perm):
-        self.order_by = order_by
-        self.descending = descending
-        self.k = k
-        self.pos_attr = pos_attr
-        self.latest_perm = latest_perm
-        self.earliest_perm = earliest_perm
-        self.total_perm = total_perm
-
-    @staticmethod
-    def build(cols: ColumnarAURelation, node: "Sort | TopK") -> "_SortState | None":
-        order_by = node.order_by
-        if len(order_by) != 1:
-            # Multi-key sorts compare lexicographic rank *vectors*; raw
-            # per-column values cannot replay that with one searchsorted.
-            return None
-        descending = bool(node.descending)
-        k = node.k if isinstance(node, TopK) else None
-        pos_attr = node.position_attribute
-        arrays = _oriented_sort_arrays(cols, order_by[0], descending)
-        if arrays is None:
-            return None
-        earliest, sg, latest, rest = arrays
-        n = len(cols)
-        keys = [np.arange(n, dtype=np.int64)]
-        keys.extend(reversed(rest))
-        keys.append(sg)
-        from repro.columnar.kernels import lexsort_stable
-
-        return _SortState(
-            order_by[0],
-            descending,
-            k,
-            pos_attr,
-            np.argsort(latest, kind="stable"),
-            np.argsort(earliest, kind="stable"),
-            lexsort_stable(keys),
-        )
-
-    def patched(self, new_input: ColumnarAURelation, keep, n_kept: int, n_new: int):
-        arrays = _oriented_sort_arrays(new_input, self.order_by, self.descending)
-        if arrays is None:
-            return None
-        earliest, sg, latest, rest = arrays
-
-        latest_perm, earliest_perm, total_perm = (
-            self.latest_perm, self.earliest_perm, self.total_perm,
-        )
-        if keep is not None:
-            latest_perm = permutation_delete(latest_perm, keep)
-            earliest_perm = permutation_delete(earliest_perm, keep)
-            total_perm = permutation_delete(total_perm, keep)
-        if n_new:
-            new_idx = np.arange(n_kept, n_kept + n_new, dtype=np.int64)
-            # side="right": a new row lands after every equal key — its row
-            # index exceeds any existing one, matching the stable tie order.
-            # Batches insert in key order so equal splice points stay sorted.
-            order = np.argsort(latest[n_kept:], kind="stable")
-            latest_perm = permutation_insert(
-                latest_perm,
-                np.searchsorted(latest[:n_kept][latest_perm], latest[n_kept:][order], side="right"),
-                new_idx[order],
-            )
-            order = np.argsort(earliest[n_kept:], kind="stable")
-            earliest_perm = permutation_insert(
-                earliest_perm,
-                np.searchsorted(earliest[:n_kept][earliest_perm], earliest[n_kept:][order], side="right"),
-                new_idx[order],
-            )
-
-            def total_key(i):
-                i = int(i)
-                return (sg[i], *(r[i] for r in rest), i)
-
-            order = sorted(range(n_kept, n_kept + n_new), key=total_key)
-            positions = np.array(
-                [bisect.bisect_left(total_perm, total_key(i), key=total_key) for i in order],
-                dtype=np.int64,
-            )
-            total_perm = permutation_insert(
-                total_perm, positions, np.array(order, dtype=np.int64)
-            )
-
-        lower, upper = rank_offset_bounds(
-            earliest, latest, new_input.mult_lb, new_input.mult_ub,
-            earliest_perm, latest_perm,
-        )
-        weights = new_input.mult_sg[total_perm]
-        running = np.cumsum(weights) - weights
-        sg_pos = np.empty(len(new_input), dtype=np.int64)
-        sg_pos[total_perm] = running
-        sg_pos = np.clip(sg_pos, lower, upper)
-
-        ranked = ranked_emission(
-            new_input, lower, sg_pos, upper, latest_perm,
-            k=self.k, position_attribute=self.pos_attr,
-        )
-        if self.k is not None:
-            ranked = ops.select(ranked, attr(self.pos_attr).lt(self.k))
-        state = _SortState(
-            self.order_by, self.descending, self.k, self.pos_attr,
-            latest_perm, earliest_perm, total_perm,
-        )
-        return state, ranked.to_relation()
-
-
-class _WindowState:
-    """Per-partition result cache for a trailing ``window`` stage.
-
-    Rows carry stable monotone ids; a partition whose id sequence is
-    unchanged by a delta reuses its cached sweep partial verbatim (sound
-    because the patch path only ever inserts or deletes whole rows, so an
-    identical id sequence means an identical row subset in identical order).
-    Only touched partitions re-sweep.
-    """
-
-    __slots__ = ("spec", "ids", "next_id", "cache")
-
-    def __init__(self, spec, ids, next_id, cache):
-        self.spec = spec
+    def __init__(self, ids, next_id, cache):
         self.ids = ids
         self.next_id = next_id
         self.cache = cache
 
-    @staticmethod
-    def build(cols: ColumnarAURelation, node: Window) -> "_WindowState | None":
-        spec = node.spec
-        if not spec.partition_by:
-            # No partitions to localise a delta to: one global sweep has no
-            # cheaper patch than recomputing the stage.
-            return None
-        state = _WindowState(spec, np.arange(len(cols), dtype=np.int64), len(cols), {})
-        computed = state._compute(cols)
-        if computed is None:
-            return None
-        state.cache = computed[0]
-        return state
+    def spliced(self, keep, n_new: int) -> "_WindowPartials":
+        """The ids after masking rows by ``keep`` and appending ``n_new`` rows."""
+        ids = self.ids if keep is None else self.ids[keep]
+        if n_new:
+            ids = np.concatenate(
+                [ids, np.arange(self.next_id, self.next_id + n_new, dtype=np.int64)]
+            )
+        return _WindowPartials(ids, self.next_id + n_new, self.cache)
 
-    def _compute(self, cols: ColumnarAURelation):
-        """``(cache, result_rows)`` or ``None`` when the stage is unpatchable.
+    def swept(self, cols: ColumnarAURelation, spec):
+        """``(partials, result)``, or ``None`` when the vectorized sweep does not apply.
 
         Cache entries hold the *row-major* sweep partial per partition;
         untouched partitions contribute their cached rows without re-sweeping
@@ -402,14 +233,14 @@ class _WindowState:
         can never collide across partials), and ``dict.update`` reuses the
         stored key hashes, so unchanged partitions cost no Python hashing.
         """
-        from repro.columnar.window import _classify, _empty_result, _sweep_stage
+        from repro.columnar.window import _classify, _sweep_stage
 
-        kind, sweep_spec, groups = _classify(cols, self.spec)
-        if kind != "sweep" or groups is None:
+        kind, sweep_spec, groups = _classify(cols, spec)
+        if kind != "sweep":
             return None
         cache: dict = {}
-        partials = []
-        for key, indices in _partition_keys(cols, self.spec.partition_by):
+        result = AURelation(cols.schema.extend(sweep_spec.output))
+        for key, indices in groups.items():
             idx = np.asarray(indices, dtype=np.int64)
             signature = self.ids[idx].tobytes()
             cached = self.cache.get(key)
@@ -418,26 +249,19 @@ class _WindowState:
             else:
                 partial = _sweep_stage(cols.take(idx), sweep_spec).to_relation()
             cache[key] = (signature, partial)
-            partials.append(partial)
-        if not partials:
-            return cache, _empty_result(cols, sweep_spec).to_relation()
-        result = AURelation(partials[0].schema)
-        for partial in partials:
             result._rows.update(partial._rows)
-        return cache, result
+        return _WindowPartials(self.ids, self.next_id, cache), result
 
-    def patched(self, new_input: ColumnarAURelation, keep, n_kept: int, n_new: int):
-        ids = self.ids if keep is None else self.ids[keep]
-        if n_new:
-            ids = np.concatenate(
-                [ids, np.arange(self.next_id, self.next_id + n_new, dtype=np.int64)]
-            )
-        state = _WindowState(self.spec, ids, self.next_id + n_new, self.cache)
-        computed = state._compute(new_input)
-        if computed is None:
-            return None
-        state.cache, result = computed
-        return state, result
+
+def _derive(top, cols: ColumnarAURelation, partials):
+    """``(partials, result)``: the view result computed from the prefix output."""
+    if top is None:
+        return partials, cols.to_relation()
+    if partials is not None:
+        swept = partials.swept(cols, top.spec)
+        if swept is not None:
+            return swept
+    return partials, _run(top, cols).to_relation()
 
 
 def _locate_row(cols: ColumnarAURelation, gone: ColumnarAURelation, j: int):
@@ -466,59 +290,6 @@ def _locate_row(cols: ColumnarAURelation, gone: ColumnarAURelation, j: int):
     return positions[0]
 
 
-def _partition_keys(cols: ColumnarAURelation, partition_by):
-    """``(key, row_indices)`` pairs in first-occurrence order.
-
-    Mirrors :func:`repro.columnar.window._certain_partition_groups` (which the
-    classifier has already validated as certain), additionally exposing the
-    key tuples the partial cache is addressed by.
-    """
-    columns = [cols.column(name) for name in partition_by]
-    groups: dict = {}
-    for i, key in enumerate(zip(*[column.sg.tolist() for column in columns])):
-        groups.setdefault(key, []).append(i)
-    return list(groups.items())
-
-
-class _ViewState:
-    """Everything the patch path maintains between deltas."""
-
-    __slots__ = ("prefix", "input", "stage")
-
-    def __init__(self, prefix, input_cols, stage):
-        self.prefix = prefix
-        self.input = input_cols
-        self.stage = stage
-
-    def patched(self, inserts: AURelation | None, retracts: AURelation | None):
-        """``(new_state, result)`` for a whole-row delta, or ``None`` to recompute."""
-        keep = None
-        current = self.input
-        if retracts is not None:
-            gone = _run_prefix(self.prefix, retracts)
-            if len(gone):
-                keep = np.ones(len(self.input), dtype=bool)
-                for j in range(len(gone)):
-                    position = _locate_row(self.input, gone, j)
-                    if position is None:  # pragma: no cover - defensive
-                        return None
-                    keep[position] = False
-                current = self.input.mask(keep)
-        n_kept = len(current)
-        fresh = _run_prefix(self.prefix, inserts) if inserts is not None else None
-        n_new = len(fresh) if fresh is not None else 0
-        new_input = concat_relations([current, fresh]) if n_new else current
-
-        if self.stage is None:
-            result = new_input.to_relation()
-            return _ViewState(self.prefix, new_input, None), result
-        patched = self.stage.patched(new_input, keep, n_kept, n_new)
-        if patched is None:
-            return None
-        new_stage, result = patched
-        return _ViewState(self.prefix, new_input, new_stage), result
-
-
 # ---------------------------------------------------------------------------
 # The view
 # ---------------------------------------------------------------------------
@@ -532,14 +303,16 @@ class IncrementalView:
 
     ``apply_delta`` is atomic: it either commits the delta everywhere (base,
     maintained state, result) or raises and leaves the view exactly as it
-    was — a kernel exception mid-recompute cannot leave a half-applied view.
-    ``last_apply`` records what the most recent call did: ``"rebuilt"``
-    (initial build), ``"patched"``, ``"recomputed"`` (fallback), or
+    was — a kernel exception mid-patch or mid-recompute cannot leave a
+    half-applied view.  ``last_apply`` records what the most recent call
+    did: ``"rebuilt"`` (initial build), ``"patched"`` (the delta was folded
+    into the maintained prefix output without reading the base again),
+    ``"recomputed"`` (the plan re-ran over the accumulated base), or
     ``"noop"`` (empty delta).
     """
 
-    __slots__ = ("_spec", "_incremental", "_split", "_base", "_result",
-                 "_state", "last_apply")
+    __slots__ = ("_spec", "_split", "_base", "_input", "_partials", "_result",
+                 "last_apply")
 
     def __init__(
         self,
@@ -553,10 +326,9 @@ class IncrementalView:
         if not isinstance(spec, PlanSpec):
             raise PlanError(f"a view spec must be a PlanSpec, got {type(spec).__name__}")
         self._spec = spec
-        self._incremental = bool(incremental)
-        self._split = _split_spec(spec) if self._incremental else None
+        self._split = _split_spec(spec) if incremental else None
         self._base = base.copy()
-        self._result, self._state = self._recompute(self._base)
+        self._input, self._partials, self._result = self._build(self._base)
         self.last_apply = "rebuilt"
 
     # -- read side -----------------------------------------------------------
@@ -604,35 +376,59 @@ class IncrementalView:
             self.last_apply = "noop"
             return
         new_base, patchable = merge_delta(self._base, inserts, retracts)
-        if patchable and self._state is not None:
-            patched = self._state.patched(inserts, retracts)
-            if patched is not None:
-                self._base = new_base
-                self._state, self._result = patched
-                self.last_apply = "patched"
-                return
-        result, state = self._recompute(new_base)
+        state = self._patched(inserts, retracts) if patchable else None
+        last_apply = "patched"
+        if state is None:
+            state = self._build(new_base)
+            last_apply = "recomputed"
+        self._input, self._partials, self._result = state
         self._base = new_base
-        self._result = result
-        self._state = state
-        self.last_apply = "recomputed"
+        self.last_apply = last_apply
 
     # -- internals -----------------------------------------------------------
 
-    def _recompute(self, base: AURelation):
-        result = self._spec.apply(ColumnarPlan(base)).to_rows()
-        state = None
-        if self._split is not None:
-            state = self._build_state(base)
-        return result, state
+    def _build(self, base: AURelation):
+        """``(prefix output, window partials, result)`` computed from ``base``.
 
-    def _build_state(self, base: AURelation):
-        prefix, ranked = self._split
-        cols = _run_prefix(prefix, base)
-        stage = None
-        if ranked is not None:
-            build = _WindowState.build if isinstance(ranked, Window) else _SortState.build
-            stage = build(cols, ranked)
-            if stage is None:
-                return None
-        return _ViewState(prefix, cols, stage)
+        A tree without a maintained prefix runs whole and keeps no prefix
+        output, so every delta recomputes it.
+        """
+        if self._split is None:
+            return None, None, self._spec.apply(ColumnarPlan(base)).to_rows()
+        prefix, top = self._split
+        cols = _run(prefix, base)
+        partials = None
+        if isinstance(top, Window) and top.spec.partition_by:
+            partials = _WindowPartials(np.arange(len(cols), dtype=np.int64), len(cols), {})
+        return (cols, *_derive(top, cols, partials))
+
+    def _patched(self, inserts: AURelation | None, retracts: AURelation | None):
+        """The :meth:`_build` triple after a whole-row delta, or ``None``.
+
+        The delta rows run through the prefix alone and splice into the
+        maintained prefix output; ``None`` (recompute from the base) when
+        the view keeps no prefix output or a retracted row is not in it.
+        """
+        if self._input is None:
+            return None
+        prefix, top = self._split
+        cols = self._input
+        keep = None
+        if retracts is not None:
+            gone = _run(prefix, retracts)
+            if len(gone):
+                keep = np.ones(len(cols), dtype=bool)
+                for j in range(len(gone)):
+                    position = _locate_row(cols, gone, j)
+                    if position is None:
+                        return None
+                    keep[position] = False
+                cols = cols.mask(keep)
+        fresh = _run(prefix, inserts) if inserts is not None else None
+        n_new = len(fresh) if fresh is not None else 0
+        if n_new:
+            cols = concat_relations([cols, fresh])
+        partials = self._partials
+        if partials is not None:
+            partials = partials.spliced(keep, n_new)
+        return (cols, *_derive(top, cols, partials))

@@ -39,9 +39,6 @@ __all__ = [
     "order_code_matrices",
     "lex_rank_pairs",
     "sort_position_bounds_ranked",
-    "rank_offset_bounds",
-    "permutation_insert",
-    "permutation_delete",
     "selected_guess_positions",
     "oriented_key_bounds",
     "topk_candidates",
@@ -397,71 +394,6 @@ def topk_candidates(
     if keep.all():
         return None
     return np.flatnonzero(keep)
-
-
-def rank_offset_bounds(
-    earliest: np.ndarray,
-    latest: np.ndarray,
-    mult_lb: np.ndarray,
-    mult_ub: np.ndarray,
-    earliest_perm: np.ndarray,
-    latest_perm: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Position ``(lower, upper)`` bounds from *maintained* sorted permutations.
-
-    The offset-patch twin of :func:`certainly_precedes_counts` /
-    :func:`possibly_precedes_counts`: instead of re-sorting the key arrays,
-    the caller supplies permutations it keeps sorted across deltas
-    (``latest_perm`` orders rows by latest key, ``earliest_perm`` by earliest
-    key), so a delta costs two ``np.searchsorted`` passes over already-sorted
-    views plus two prefix sums — no argsort of the whole relation.
-
-    ``earliest`` / ``latest`` are *raw* oriented key values, not dense rank
-    codes: searchsorted only consults ``<`` / ``==`` between earliest and
-    latest values, which any order-isomorphic encoding preserves, so the
-    result is bit-identical to the rank-coded kernels (the callers gate on
-    the uniform-numeric, NaN-free columns where that isomorphism holds).
-    ``upper`` already has the row's own weight removed, exactly as
-    :func:`sort_position_bounds_ranked` returns it.
-    """
-    latest_sorted = latest[latest_perm]
-    prefix_lb = np.concatenate([[0], np.cumsum(mult_lb[latest_perm])])
-    lower = prefix_lb[np.searchsorted(latest_sorted, earliest, side="left")]
-    earliest_sorted = earliest[earliest_perm]
-    prefix_ub = np.concatenate([[0], np.cumsum(mult_ub[earliest_perm])])
-    upper = prefix_ub[np.searchsorted(earliest_sorted, latest, side="right")]
-    return lower, upper - mult_ub
-
-
-def permutation_insert(
-    perm: np.ndarray, positions: np.ndarray, new_indices: np.ndarray
-) -> np.ndarray:
-    """Insert new row indices into a maintained sorted permutation.
-
-    ``positions[t]`` is the slot (into the *current* ``perm``) before which
-    ``new_indices[t]`` belongs — typically a ``np.searchsorted(...,
-    side="right")`` result so that an inserted row lands after every equal
-    key (its row index is larger than any existing row's, matching the
-    stable-argsort tie order the kernels emit).  Equal positions keep the
-    order of appearance, so batches pre-sorted by row index stay
-    index-ordered among themselves.
-    """
-    if len(new_indices) == 0:
-        return perm
-    return np.insert(perm, positions, new_indices)
-
-
-def permutation_delete(perm: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Drop deleted rows from a maintained permutation and renumber it.
-
-    ``keep`` is a boolean mask over the rows the permutation currently
-    indexes; surviving entries are renumbered to index the compacted row
-    array (``new_index = cumsum(keep) - 1``), preserving their relative
-    order — exactly what a stable argsort of the masked keys would produce.
-    """
-    new_index = np.cumsum(keep) - 1
-    kept = perm[keep[perm]]
-    return new_index[kept]
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from repro.core.relation import AURelation
 from repro.errors import OperatorError
 from repro.relational.sort import validate_k
 
-__all__ = ["sort_stage", "sort_columnar", "ranked_emission"]
+__all__ = ["sort_stage", "sort_columnar"]
 
 
 def sort_stage(
@@ -100,31 +100,7 @@ def sort_stage(
     # it: emission order is its latest key vector, ties broken by the input
     # sequence number.
     emit = np.argsort(latest_rank, kind="stable")  # stable: input order breaks ties
-    return ranked_emission(
-        columnar, lower, sg, upper, emit, k=k, position_attribute=position_attribute
-    )
 
-
-def ranked_emission(
-    columnar: ColumnarAURelation,
-    lower: np.ndarray,
-    sg: np.ndarray,
-    upper: np.ndarray,
-    emit: np.ndarray,
-    *,
-    k: int | None = None,
-    position_attribute: str = "pos",
-) -> ColumnarAURelation:
-    """Expand per-row position bounds into the sort stage's output relation.
-
-    The shared tail of the sort: rows reordered by the emission permutation
-    ``emit``, the Fig. 4 / Algorithm 2 per-duplicate split applied, and the
-    range-annotated position column appended.  :func:`sort_stage` computes
-    the bound arrays from scratch; the incremental sort patch
-    (:mod:`repro.columnar.incremental`) re-derives them from maintained
-    permutations — both feed this one emission path, so the patched output
-    cannot drift from the from-scratch stage.
-    """
     # Fig. 4 / Algorithm 2 split: the j-th duplicate shifts the base position
     # by j and is certain / selected-guess-only / merely possible depending on
     # where j falls in the multiplicity triple.

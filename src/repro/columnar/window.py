@@ -62,11 +62,13 @@ the total order and their comparison strategies resolve it differently);
 the columnar backend follows the **native** sweep there — it is the
 implementation ``backend="columnar"`` substitutes for, and what a chained
 plan's python-per-stage reference runs (pinned by
-``tests/unit/test_columnar.py``).  Non-numeric aggregation columns
-(strings, ``None``) delegate to the definitional rewrite — the Python
-sweep's connected heap negates value upper bounds, so the rewrite is the
-only backend covering them; ``count`` ignores values and is always
-vectorized.
+``tests/unit/test_columnar.py``).  Both backends share one rule for the
+aggregation column (:func:`~repro.window.bounds.sweeps_values`): numbers
+(ints, floats, bools) sweep — vectorized on a numeric dtype, through the
+Python sweep on an ``object`` one — and a column holding strings or
+``None`` delegates to the definitional rewrite, because the Python sweep's
+connected heap negates value upper bounds; ``count`` ignores values and is
+always vectorized.
 """
 
 from __future__ import annotations
@@ -90,6 +92,7 @@ from repro.columnar.relation import (
 )
 from repro.core.relation import AURelation
 from repro.errors import OperatorError, WindowSpecError
+from repro.window.bounds import sweeps_values
 from repro.window.spec import WindowSpec
 
 __all__ = ["window_stage", "window_columnar"]
@@ -142,15 +145,17 @@ def window_columnar(
 
 def _classify(
     columnar: ColumnarAURelation, spec: WindowSpec
-) -> tuple[str, WindowSpec, list[list[int]] | None]:
+) -> tuple[str, WindowSpec, dict[tuple, list[int]] | None]:
     """Validate the spec and pick the execution path.
 
     Returns ``(kind, spec, partition_groups)`` with the mirrored-order
     reduction already applied to ``spec``.  ``kind`` is ``"sweep"`` (the
     vectorized kernels apply), ``"native"`` (delegate to the Python backend:
     it owns both the non-sweepable frame classes and the exact scalar math
-    the float64 kernels cannot reproduce), or ``"rewrite"`` (non-numeric
-    aggregation columns, which only the definitional rewrite covers).
+    the float64 kernels cannot reproduce), or ``"rewrite"`` (aggregation
+    columns holding strings or ``None``, which only the definitional rewrite
+    covers).  ``partition_groups`` maps each certain partition key to its
+    row indices, in first-occurrence order.
     """
     columnar.schema.require(list(spec.order_by))
     columnar.schema.require(list(spec.partition_by))
@@ -182,11 +187,11 @@ def _classify(
     if spec.function != "count" and spec.attribute not in (None, "*"):
         column = columnar.column(spec.attribute)
         if not column.is_numeric:
-            # Non-numeric aggregation columns (strings, None) stay on the
-            # exact definitional path.  (The Python sweep's connected heap
-            # negates value upper bounds, so the rewrite is the only backend
-            # covering them.)
-            return "rewrite", spec, None
+            # An object column: numbers (ints, floats, bools mixed) take the
+            # Python sweep, anything else (strings, None) the rewrite —
+            # window_native applies the same rule.
+            values = (v for arr in (column.lb, column.sg, column.ub) for v in arr.tolist())
+            return ("native" if sweeps_values(values) else "rewrite"), spec, None
         if spec.function in ("sum", "avg") and any(
             arr.dtype == np.float64 for arr in (column.lb, column.sg, column.ub)
         ):
@@ -224,7 +229,7 @@ def _fallback_rows(rows: AURelation, spec: WindowSpec, kind: str) -> AURelation:
 def _partitioned_sweep(
     columnar: ColumnarAURelation,
     spec: WindowSpec,
-    groups: list[list[int]] | None,
+    groups: dict[tuple, list[int]] | None,
     *,
     strict_tiebreak: str | None = None,
 ) -> ColumnarAURelation:
@@ -241,7 +246,7 @@ def _partitioned_sweep(
         return _sweep_stage(columnar, spec, strict_tiebreak=strict_tiebreak)
     partials = [
         _sweep_stage(columnar.take(indices), spec, strict_tiebreak=strict_tiebreak)
-        for indices in groups
+        for indices in groups.values()
     ]
     if not partials:
         return _empty_result(columnar, spec)
@@ -288,8 +293,8 @@ def _float64_exact(column, frame_size: int) -> bool:
 
 def _certain_partition_groups(
     columnar: ColumnarAURelation, partition_by: tuple[str, ...]
-) -> list[list[int]] | None:
-    """Row-index groups per partition key, or ``None`` if any key is uncertain."""
+) -> dict[tuple, list[int]] | None:
+    """Row indices per partition key (first-occurrence order), ``None`` if a key is uncertain."""
     columns = [columnar.column(name) for name in partition_by]
     for column in columns:
         if len(columnar) and not bool(np.all(column.lb == column.ub)):
@@ -297,7 +302,7 @@ def _certain_partition_groups(
     groups: dict[tuple, list[int]] = {}
     for i, key in enumerate(zip(*[column.sg.tolist() for column in columns])):
         groups.setdefault(key, []).append(i)
-    return list(groups.values())
+    return groups
 
 
 def _sweep_stage(

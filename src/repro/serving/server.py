@@ -34,7 +34,7 @@ view in place, so subsequent queries keep hitting warm views.
 from __future__ import annotations
 
 import threading
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from repro.columnar.incremental import IncrementalView, as_delta, merge_delta
 from repro.core.relation import AURelation
@@ -127,12 +127,7 @@ class QueryServer:
             raise ServingError(f"query_spec() takes a PlanSpec, got {type(spec).__name__}")
         shape, params = spec.shape_key()
         with self._lock:
-            key = (shape, params)
-            view = self._cache.get(key)
-            if view is None:
-                view = IncrementalView(self._base, spec, incremental=self._incremental)
-                self._cache.put(key, view)
-            return view.to_rows()
+            return self._cached((shape, params), lambda: spec).to_rows()
 
     # -- write path ----------------------------------------------------------
 
@@ -202,16 +197,21 @@ class QueryServer:
     def _view(self, name: str, params: Sequence) -> IncrementalView:
         template, shape = self._require_template(name)
         params = _as_params(params)
-        key = (shape, params)
+
+        def bound() -> PlanSpec:
+            try:
+                return template.bind(params)
+            except PlanError as exc:
+                raise ServingError(f"template {name!r}: {exc}") from exc
+
+        return self._cached((shape, params), bound)
+
+    def _cached(self, key: tuple, spec: Callable[[], PlanSpec]) -> IncrementalView:
+        """The cached view for ``key``, built over the base from ``spec()`` on a miss."""
         view = self._cache.get(key)
-        if view is not None:
-            return view
-        try:
-            spec = template.bind(params)
-        except PlanError as exc:
-            raise ServingError(f"template {name!r}: {exc}") from exc
-        view = IncrementalView(self._base, spec, incremental=self._incremental)
-        self._cache.put(key, view)
+        if view is None:
+            view = IncrementalView(self._base, spec(), incremental=self._incremental)
+            self._cache.put(key, view)
         return view
 
 

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.core.ranges import RangeValue
 from repro.errors import OperatorError
 from repro.relational.aggregates import incomparable_operands
 
-__all__ = ["WindowMember", "aggregate_bounds"]
+__all__ = ["WindowMember", "aggregate_bounds", "sweeps_values"]
 
 
 def _exact_sum(parts: list) -> float:
@@ -38,6 +38,21 @@ def _exact_sum(parts: list) -> float:
     if any(isinstance(p, float) for p in parts):
         return math.fsum(parts)
     return sum(parts)
+
+
+def sweeps_values(values: Iterable) -> bool:
+    """Whether a window sweep aggregates these values: all numbers (ints, floats, bools).
+
+    The one dispatch rule of both backends' window sweeps: the connected
+    heap of :func:`~repro.window.native.window_native` orders candidates by
+    negated value upper bounds, which strings and ``None`` do not have, so
+    an aggregation column holding any of them goes to the definitional
+    :func:`~repro.window.semantics.window_rewrite` instead.
+
+    >>> sweeps_values([1, 2.5, True]), sweeps_values([1, "a"]), sweeps_values([None])
+    (True, False, False)
+    """
+    return all(isinstance(value, (int, float)) for value in values)
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,10 @@ by the lower bound of their position:
 Frames are ``N PRECEDING AND CURRENT ROW``; ``CURRENT ROW AND N FOLLOWING``
 frames are handled through the mirrored-order reduction described in the
 paper, and window specifications outside this class (two-sided frames,
-frames excluding the current row, uncertain partition-by attributes)
-transparently fall back to the definitional implementation.
+frames excluding the current row, uncertain partition-by attributes) and
+aggregation columns holding strings or ``None``
+(:func:`~repro.window.bounds.sweeps_values`) transparently fall back to the
+definitional implementation.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from repro.core.relation import AURelation
 from repro.core.tuples import AUTuple
 from repro.ranking.native import sort_native
 from repro.relational.aggregates import aggregate
-from repro.window.bounds import WindowMember, aggregate_bounds
+from repro.window.bounds import WindowMember, aggregate_bounds, sweeps_values
 from repro.window.semantics import window_rewrite
 from repro.window.spec import WindowSpec
 
@@ -104,6 +106,12 @@ def window_native(
         # Two-sided frames and frames excluding the current row fall back to
         # the definitional implementation.
         return window_rewrite(relation, spec)
+
+    if spec.function != "count" and spec.attribute not in (None, "*"):
+        cells = (tup.value(spec.attribute) for tup, _mult in relation)
+        if not sweeps_values(v for cell in cells for v in (cell.lb, cell.sg, cell.ub)):
+            # Strings and None have no negated upper bound for the heap.
+            return window_rewrite(relation, spec)
 
     if spec.partition_by:
         if _partitions_certain(relation, spec.partition_by):

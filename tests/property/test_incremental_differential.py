@@ -10,8 +10,9 @@ the group-by fallback class) and randomized delta streams (bag multiplicities
 with ``ub > 1``, partial retractions, inserts colliding with stored
 hypercubes, retract-to-empty), on both maintenance paths:
 
-* the *patch* path (``incremental=True``), where sort/top-k results are
-  maintained by rank-offset updates and windows by per-partition re-sweeps;
+* the *patch* path (``incremental=True``), where deltas splice the
+  maintained prefix output, sort/top-k stages re-run on it and windows
+  re-sweep only the partitions a delta touched;
 * the *forced-recompute* oracle (``incremental=False``), which pins the
   patch rules against the plain plan — if the two ever disagree, the patch
   rule is unsound.
@@ -34,8 +35,10 @@ pytest.importorskip("numpy", reason="incremental views run on the columnar backe
 
 from repro.columnar.incremental import IncrementalView, merge_delta
 from repro.columnar.plan import ColumnarPlan, PlanSpec
+from repro.columnar.relation import ColumnarAURelation
 from repro.core.expressions import Arithmetic, attr, const
 from repro.core.multiplicity import Multiplicity
+from repro.core.ranges import RangeValue
 from repro.core.relation import AURelation
 from repro.core.schema import Schema
 from repro.errors import OperatorError
@@ -63,7 +66,8 @@ def _window(frame, partition_by=("a",), order_by=("b",)) -> WindowSpec:
 #: The plan shapes under differential test.  The first block is the
 #: patchable class (prefix of select/extend/rename plus one trailing ranked
 #: stage); the tail covers prefix-only plans, the uncertain-partition window
-#: (state build fails, every delta recomputes), and the group-by fallback.
+#: (no partial cache: every delta re-runs the stage on the prefix output),
+#: and the group-by fallback.
 SPECS = [
     PlanSpec().sort(["a"]),
     PlanSpec().topk(["a"], 3, descending=True),
@@ -72,10 +76,22 @@ SPECS = [
     PlanSpec().select(attr("b").le(const(4))).window(_window((-2, 0))),
     PlanSpec().window(_window((0, 2))),  # following-only frame
     PlanSpec().rename({"a": "x"}).sort(["x"], descending=True),
+    PlanSpec().sort(["a", "b"], descending=True),  # two order-by keys
+    PlanSpec().topk(["b"], 2),  # b is an object column when ints and floats mix
     PlanSpec().select(attr("a").ge(const(-2))),
     PlanSpec().window(_window((-1, 0), partition_by=("b",))),  # uncertain keys
     PlanSpec().groupby_aggregate(["a"], [("sum", "b", "s")]),  # fallback class
 ]
+
+
+def _halved(value: RangeValue) -> RangeValue:
+    return RangeValue(value.lb / 2, value.sg / 2, value.ub / 2)
+
+
+#: ``b`` draws ints or floats, so a spliced prefix output can keep an
+#: ``object`` column (an int/float mix) where the from-scratch base, once
+#: the floats are retracted, re-packs it as ``int64``.
+b_values = st.one_of(range_values(), range_values().map(_halved))
 
 
 @st.composite
@@ -83,14 +99,14 @@ def base_relations(draw, *, max_tuples: int = 6) -> AURelation:
     """Random AU-relations with a certain ``a`` and an uncertain ``b``.
 
     ``a`` stays a point value so partition/order keys are groupable and the
-    window patch rules actually engage; ``b`` draws full range values and
-    bag multiplicities (``ub > 1``) so the ranked stages see the general
-    AU-relation class.
+    window patch rules actually engage; ``b`` draws full range values of
+    ints or floats and bag multiplicities (``ub > 1``) so the ranked stages
+    see the general AU-relation class.
     """
     relation = AURelation(Schema(SCHEMA))
     for _ in range(draw(st.integers(min_value=0, max_value=max_tuples))):
         a = draw(st.integers(min_value=-3, max_value=3))
-        b = draw(range_values())
+        b = draw(b_values)
         relation.add_values([a, b], draw(multiplicities(max_count=2)))
     return relation
 
@@ -102,7 +118,7 @@ delta_programs = st.tuples(
     st.lists(
         st.tuples(
             st.integers(min_value=-3, max_value=9),
-            range_values(),
+            b_values,
             multiplicities(max_count=2),
         ),
         max_size=3,
@@ -262,9 +278,11 @@ class TestDeltaDifferential:
 class TestPatchPathIsExercised:
     """Pin ``last_apply`` so patch rules demonstrably run (no silent fallback)."""
 
-    def _base(self) -> AURelation:
+    ROWS = ((0, 5), (0, 2), (1, 7), (1, 1), (2, 4), (2, 9))
+
+    def _base(self, rows=ROWS) -> AURelation:
         base = AURelation(Schema(SCHEMA))
-        for a, b in [(0, 5), (0, 2), (1, 7), (1, 1), (2, 4), (2, 9)]:
+        for a, b in rows:
             base.add_values([a, b], 1)
         return base
 
@@ -275,18 +293,29 @@ class TestPatchPathIsExercised:
         return inserts
 
     @pytest.mark.parametrize(
-        "spec",
+        ("spec", "floats"),
         [
-            PlanSpec().sort(["b"]),
-            PlanSpec().topk(["b"], 3, descending=True),
-            PlanSpec().select(attr("b").ge(const(0))).window(_window((-2, 0))),
-            PlanSpec().select(attr("a").ge(const(0))),
+            pytest.param(PlanSpec().sort(["b"]), False, id="sort"),
+            pytest.param(PlanSpec().topk(["b"], 3, descending=True), False, id="topk"),
+            pytest.param(PlanSpec().sort(["a", "b"]), False, id="two-key-sort"),
+            pytest.param(PlanSpec().topk(["b"], 3), True, id="object-topk"),
+            pytest.param(
+                PlanSpec().select(attr("b").ge(const(0))).window(_window((-2, 0))),
+                False, id="window",
+            ),
+            pytest.param(
+                PlanSpec().window(_window((-1, 0), partition_by=())),
+                False, id="unpartitioned-window",
+            ),
+            pytest.param(PlanSpec().select(attr("a").ge(const(0))), False, id="prefix-only"),
         ],
-        ids=["sort", "topk", "window", "prefix-only"],
     )
-    def test_fresh_inserts_and_whole_row_retracts_patch(self, spec):
-        base = self._base()
-        view = IncrementalView(base, spec)
+    def test_fresh_inserts_and_whole_row_retracts_patch(self, spec, floats):
+        rows = self.ROWS + ((3, 2.5),) if floats else self.ROWS
+        if floats:
+            b = ColumnarAURelation.from_relation(self._base(rows)).column("b")
+            assert b.sg.dtype == object  # ints and floats mix
+        view = IncrementalView(self._base(rows), spec)
         assert view.last_apply == "rebuilt"
         view.apply_delta(inserts=self._fresh_delta())
         assert view.last_apply == "patched"
@@ -295,7 +324,7 @@ class TestPatchPathIsExercised:
         view.apply_delta(retracts=retracts)
         assert view.last_apply == "patched"
         accumulated, _ = merge_delta(
-            merge_delta(self._base(), self._fresh_delta(), None)[0], None, retracts
+            merge_delta(self._base(rows), self._fresh_delta(), None)[0], None, retracts
         )
         assert_bit_identical(_recompute(spec, accumulated), view.to_rows())
 
@@ -327,3 +356,45 @@ class TestPatchPathIsExercised:
         view = IncrementalView(self._base(), SPECS[-1])  # group-by
         view.apply_delta(inserts=self._fresh_delta())
         assert view.last_apply == "recomputed"
+
+
+class TestOnePassBuild:
+    """A build runs the prefix and the ranked stage once, not once per purpose."""
+
+    def _base(self) -> AURelation:
+        base = AURelation(Schema(SCHEMA))
+        for a, b in [(0, 5), (0, 2), (1, 7), (1, 1), (2, 4), (2, 9), (3, 6)]:
+            base.add_values([a, b], 1)
+        return base
+
+    def test_a_topk_build_converts_the_base_once(self, monkeypatch):
+        converted = []
+        original = ColumnarAURelation.from_relation
+
+        def spy(relation):
+            converted.append(len(relation))
+            return original(relation)
+
+        monkeypatch.setattr(ColumnarAURelation, "from_relation", staticmethod(spy))
+        spec = PlanSpec().select(attr("b").ge(const(2))).topk(["b"], 3, descending=True)
+        view = IncrementalView(self._base(), spec)
+        assert converted == [7]
+        monkeypatch.setattr(ColumnarAURelation, "from_relation", staticmethod(original))
+        assert_bit_identical(_recompute(spec, self._base()), view.to_rows())
+
+    def test_a_partitioned_window_build_sweeps_each_partition_once(self, monkeypatch):
+        from repro.columnar import window
+
+        swept = []
+        original = window._sweep_stage
+
+        def spy(columnar, spec, **kwargs):
+            swept.append(len(columnar))
+            return original(columnar, spec, **kwargs)
+
+        monkeypatch.setattr(window, "_sweep_stage", spy)
+        spec = PlanSpec().select(attr("b").ge(const(0))).window(_window((-2, 0)))
+        view = IncrementalView(self._base(), spec)
+        assert sorted(swept) == [1, 2, 2, 2]  # partitions a = 0, 1, 2, 3
+        monkeypatch.setattr(window, "_sweep_stage", original)
+        assert_bit_identical(_recompute(spec, self._base()), view.to_rows())

@@ -364,6 +364,82 @@ def test_deterministic_window_backends_agree(rows, function, frame, descending, 
     assert python._rows == columnar._rows
 
 
+#: Aggregation-column pools of one dispatch class each: numbers (int/float
+#: and bool/int/float mixes, stored as ``object`` columns) sweep on both
+#: backends; a pool holding strings or ``None`` goes to the rewrite, where
+#: ``min``/``max``/``sum``/``avg`` over ``None`` next to a number or a string
+#: fail with an ``OperatorError``.
+_VALUE_POOLS = (
+    [-1, 0, 2, 0.5, 1.5],
+    [False, True, 2, 0.5],
+    ["p", "q", "r"],
+    [None, 0, 1],
+    [None, "p", "q"],
+)
+
+
+@st.composite
+def mixed_value_relations(draw) -> AURelation:
+    """``(o, v, g)`` relations whose ``v`` draws from one of :data:`_VALUE_POOLS`."""
+    from repro.core.schema import Schema
+    from repro.relational.sort import sort_key_value
+
+    from tests.property.strategies import multiplicities, range_values
+
+    pool = draw(st.sampled_from(_VALUE_POOLS))
+    relation = AURelation(Schema(("o", "v", "g")))
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        bounds = sorted(
+            draw(st.lists(st.sampled_from(pool), min_size=3, max_size=3)),
+            key=sort_key_value,
+        )
+        relation.add_values(
+            [
+                draw(range_values(min_value=0, max_value=4)),
+                RangeValue(*bounds),
+                draw(st.integers(min_value=0, max_value=1)),
+            ],
+            draw(multiplicities(max_count=2)),
+        )
+    return relation
+
+
+def _outcome(call):
+    """A window call's ordered rows, or the type and message of its ``OperatorError``."""
+    from repro.errors import OperatorError
+
+    try:
+        result = call()
+    except OperatorError as exc:
+        return type(exc), str(exc)
+    return result.schema, list(result._rows.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    relation=mixed_value_relations(),
+    function=st.sampled_from(FUNCTIONS + ["avg"]),
+    frame=window_frames(max_extent=2),
+    partition_by=st.sampled_from([(), ("g",)]),
+)
+def test_one_dispatch_rule_for_mixed_value_columns(relation, function, frame, partition_by):
+    """Both backends route an aggregation column by its values alone.
+
+    Numbers sweep (the columnar backend hands an ``object`` column to the
+    Python sweep), strings and ``None`` take the rewrite, ``count`` ignores
+    values: the results agree in row order, and a failing call raises the
+    same ``OperatorError`` on both.
+    """
+    pytest.importorskip("numpy", reason="the columnar backend requires NumPy")
+    spec = WindowSpec(
+        function=function, attribute="v", output="w", order_by=("o",),
+        partition_by=partition_by, frame=frame,
+    )
+    python = _outcome(lambda: window_native(relation, spec))
+    columnar = _outcome(lambda: window_native(relation, spec, backend="columnar"))
+    assert python == columnar
+
+
 # ---------------------------------------------------------------------------
 # Chained multi-window plans: the columnar-native window stages must feed the
 # next stage exactly what the Python backend's row-major path would.

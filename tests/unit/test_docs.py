@@ -27,6 +27,7 @@ DOCTEST_MODULES = [
     "repro.sql.tokenizer",
     "repro.sql.parser",
     "repro.plan",
+    "repro.window.bounds",
 ]
 
 #: Modules needing NumPy (skipped, not failed, when it is unavailable).

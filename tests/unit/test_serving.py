@@ -8,15 +8,18 @@ refresh recency), the no-aliasing guarantee (mutating a served relation
 must not corrupt the cached view), and delta fan-out (every cached view
 patches; a view whose apply fails is evicted — never left stale).
 
-The fault-injection tests make a kernel raise mid-delta: the view must stay
-pre-delta (atomic apply) and the server must drop the failed view instead of
-serving its stale result.  Malformed deltas must be rejected before anything
-commits.
+The fault-injection tests make a kernel raise mid-delta — the group-by
+kernel of a recompute, the sort stage of a top-k patch, the partition sweep
+of a window patch: the view must stay pre-delta (atomic apply) and the
+server must drop the failed view instead of serving its stale result, while
+its other views still patch.  Malformed deltas must be rejected before
+anything commits.
 """
 
 from __future__ import annotations
 
 import asyncio
+import importlib
 
 import pytest
 
@@ -30,6 +33,7 @@ from repro.core.relation import AURelation
 from repro.core.schema import Schema
 from repro.errors import OperatorError, PlanError, ReproError, ServingError
 from repro.serving import PlanCache, QueryServer
+from repro.window.spec import WindowSpec
 
 SCHEMA = ("g", "v")
 
@@ -290,6 +294,29 @@ def _fresh_delta() -> AURelation:
     return inserts
 
 
+def _window_template() -> PlanSpec:
+    """A per-``g`` rolling sum: a delta re-sweeps only the partitions it touches."""
+    spec = WindowSpec(
+        function="sum", attribute="v", output="w", order_by=("v",),
+        partition_by=("g",), frame=(-1, 0),
+    )
+    return PlanSpec().select(attr("v").ge(const(0))).window(spec)
+
+
+TEMPLATES = {"top": _template, "win": _window_template}
+
+#: Stage kernels a patch runs: the top-k view's sort stage and the window
+#: view's per-partition sweep (module, attribute, the template reaching it).
+PATCH_KERNELS = [
+    pytest.param("repro.columnar.sort", "sort_stage", "top", id="topk-sort-stage"),
+    pytest.param("repro.columnar.window", "_sweep_stage", "win", id="window-sweep"),
+]
+
+
+def _exploding_kernel(*args, **kwargs):
+    raise RuntimeError("injected kernel fault")
+
+
 class TestFaultInjection:
     def test_failing_view_is_evicted_and_the_rest_still_patch(self):
         base = _base()
@@ -333,6 +360,50 @@ class TestFaultInjection:
         accumulated, _ = merge_delta(base, _fresh_delta(), None)
         assert_bit_identical(_expected(_groupby_spec(), accumulated), view.to_rows())
         assert_bit_identical(accumulated, view.base_rows())
+
+    @pytest.mark.parametrize(("module", "kernel", "name"), PATCH_KERNELS)
+    def test_kernel_exception_mid_patch_leaves_the_view_pre_delta(
+        self, monkeypatch, module, kernel, name
+    ):
+        """Atomic apply: a stage kernel raising mid-patch commits nothing."""
+        base = _base()
+        spec = TEMPLATES[name]().bind((0,))
+        view = IncrementalView(base, spec)
+        before = view.to_rows()
+        monkeypatch.setattr(importlib.import_module(module), kernel, _exploding_kernel)
+        with pytest.raises(RuntimeError, match="injected kernel fault"):
+            view.apply_delta(inserts=_fresh_delta())
+        assert_bit_identical(before, view.to_rows())
+        assert_bit_identical(base, view.base_rows())
+        assert view.last_apply == "rebuilt"
+        # the maintained state survived intact: the next delta still patches
+        monkeypatch.undo()
+        view.apply_delta(inserts=_fresh_delta())
+        assert view.last_apply == "patched"
+        accumulated, _ = merge_delta(base, _fresh_delta(), None)
+        assert_bit_identical(_expected(spec, accumulated), view.to_rows())
+
+    @pytest.mark.parametrize(("module", "kernel", "name"), PATCH_KERNELS)
+    def test_kernel_exception_mid_patch_evicts_only_that_view(
+        self, monkeypatch, module, kernel, name
+    ):
+        base = _base()
+        server = QueryServer(base)
+        for template, build in TEMPLATES.items():
+            server.register(template, build())
+            server.query(template, (0,))
+        monkeypatch.setattr(importlib.import_module(module), kernel, _exploding_kernel)
+        with pytest.raises(RuntimeError, match="injected kernel fault"):
+            server.apply_delta(inserts=_fresh_delta())
+        assert server.cached_view(name, (0,)) is None
+        (healthy,) = set(TEMPLATES) - {name}
+        assert server.cached_view(healthy, (0,)).last_apply == "patched"
+        monkeypatch.undo()
+        accumulated, _ = merge_delta(base, _fresh_delta(), None)
+        assert_bit_identical(accumulated, server.base_rows())
+        for template, build in TEMPLATES.items():
+            expected = _expected(build().bind((0,)), accumulated)
+            assert_bit_identical(expected, server.query(template, (0,)))
 
     def test_worker_death_evicts_the_view_without_poisoning_the_cache(
         self, monkeypatch
