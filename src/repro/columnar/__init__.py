@@ -59,13 +59,12 @@ rows::
         .to_rows()                                  # boundary: row-major result
     )
 
-**Factorised join/cross results.**  Inside a plan, ``cross`` and qualifying
-equi-``join`` stages do not enumerate the ``O(|L|·|R|)`` (or match-count)
-pair grid at all: they return a
-:class:`~repro.columnar.factorised.FactorisedAURelation` — fragments plus a
-pairing structure — and downstream stages push down into it, expanding only
-at the ``.to_rows()`` boundary.  See the "Factorised representation"
-section of ``docs/ARCHITECTURE.md``.
+**Factorised join results.**  Inside a plan, a ``join`` that qualifies for
+a non-grid kernel does not gather its pairs' payload columns: it returns a
+paired :class:`~repro.columnar.factorised.FactorisedAURelation` — both
+inputs' fragments plus matched-pair index vectors — and downstream stages
+push down into it, expanding only at the ``.to_rows()`` boundary.  See the
+"Factorised representation" section of ``docs/ARCHITECTURE.md``.
 
 See ``docs/PLAN_GUIDE.md`` for a stage-by-stage authoring guide.  NumPy is
 required only when the columnar backend is actually selected; the rest of

@@ -1,49 +1,54 @@
-"""Factorised AU-relations: join/cross results as products, not pair grids.
+"""Factorised AU-relations: join results as index vectors, not pair grids.
 
-A :class:`FactorisedAURelation` represents a relation as a product of
-independent *groups*.  Each group holds one or more
-:class:`~repro.columnar.relation.ColumnarAURelation` fragments plus a pairing
-structure — ``None`` indices for a full product over a single fragment, or
-matched-pair index vectors (the searchsorted equi-join candidates) aligning
-several fragments row-for-row — and a lazy multiplicity vector (the pointwise
-product of the gathered fragment annotations, materialised only when an
-operator filters it).  The logical relation is the lexicographic product of
-the groups, group 0 outermost: exactly the left-outer / right-inner pair
-order of the eager ``np.repeat`` × ``np.tile`` grid, so
-:meth:`FactorisedAURelation.expand` — the *only* materialisation point — is
-bit-identical to the expanded pipeline, row order included.
+A :class:`FactorisedAURelation` holds a relation as
+:class:`~repro.columnar.relation.ColumnarAURelation` *fragments* aligned row
+for row by *index vectors* — the one-level case of FDB's factorised joins.
+A base table is **flat**: one fragment under the identity.  A join that
+qualifies for a non-grid kernel (searchsorted, the range×range sweep, or a
+band predicate) is **paired**: both sides' fragments behind the surviving
+candidate pairs' index vectors, in the eager grid's left-outer /
+right-inner order, under the explicit multiplicity triple the join
+computed.  :meth:`FactorisedAURelation.expand` — the *only*
+materialisation point — is therefore bit-identical to the expanded
+pipeline, row order included.
 
 Operators push down instead of expanding: ``select`` / ``extend`` evaluate
-inside the group owning the referenced columns (ownership decided by
-:func:`repro.columnar.expressions.referenced_attributes`), ``join`` keeps the
-matched-pair index vectors instead of gathering both payloads, and the
-row-local stages (``sort`` / ``top-k`` / ``window`` / ``groupby``) run over a
-*slim* gather of only the columns they touch, reattaching untouched fragments
-through a row-id indirection.  Anything outside the proven class — callable
-predicates, expressions spanning unknown columns, NaN windows, grid-method
-joins — expands and delegates to the eager kernels, which keeps every result
+over a gather of only the columns they read (decided by
+:func:`repro.columnar.expressions.referenced_attributes`) and filter or
+extend the index vectors, ``join`` keeps the matched-pair index vectors
+instead of gathering both payloads, and the row-local stages (``sort`` /
+``top-k`` / ``window`` / ``groupby``) run over a *slim* gather of only the
+columns they touch, reattaching untouched fragments through a row-id
+indirection.  Anything outside the proven class — callable predicates,
+expressions spanning unknown columns, NaN windows, grid-method joins —
+expands and delegates to the eager kernels, which keeps every result
 bit-identical to the Python backend by construction.
 
 >>> from repro.core.expressions import attr, const
 >>> from repro.core.relation import AURelation
->>> from repro.columnar.factorised import as_factorised, fact_cross, fact_select
->>> left = as_factorised(AURelation.from_rows(["a"], [([1], 1), ([2], 1)]))
->>> right = as_factorised(
-...     AURelation.from_rows(["b"], [([7], 1), ([8], 1), ([9], 1)])
+>>> from repro.columnar.factorised import as_factorised, fact_join, fact_select
+>>> orders = as_factorised(
+...     AURelation.from_rows(["k", "a"], [((1, 10), 1), ((2, 20), 1), ((2, 30), 1)])
 ... )
->>> product = fact_cross(left, right)
->>> len(product), [group.size for group in product.groups]
-(6, [2, 3])
->>> expanded = product.expand()  # the only materialisation point
->>> [tuple(v.sg for v in expanded.row_values(i)) for i in range(3)]
-[(1, 7), (1, 8), (1, 9)]
+>>> parts = as_factorised(
+...     AURelation.from_rows(["k", "b"], [((2, 7), 1), ((2, 8), 1), ((3, 9), 1)])
+... )
+>>> orders.is_flat
+True
+>>> pairs = fact_join(orders, parts, on=["k"])
+>>> len(pairs), pairs.is_flat, [len(fragment) for fragment in pairs.fragments]
+(4, False, [3, 3])
+>>> [index.tolist() for index in pairs.indices]
+[[1, 1, 2, 2], [0, 1, 0, 1]]
+>>> expanded = pairs.expand()  # the only materialisation point
+>>> [tuple(v.sg for v in expanded.row_values(i)) for i in range(2)]
+[(2, 20, 2, 7), (2, 20, 2, 8)]
 
-Selection on ``b`` pushes into the group that owns it — the product shrinks
-without ever enumerating the six pairs:
+Selection on ``b`` filters the index vectors; the fragments are untouched:
 
->>> kept = fact_select(product, attr("b").ge(const(9)))
->>> len(kept), [group.size for group in kept.groups]
-(2, [2, 1])
+>>> kept = fact_select(pairs, attr("b").ge(const(8)))
+>>> len(kept), [index.tolist() for index in kept.indices]
+(2, [[1, 2], [1, 1]])
 """
 
 from __future__ import annotations
@@ -73,7 +78,6 @@ from repro.errors import OperatorError, WindowSpecError
 from repro.window.spec import WindowSpec
 
 __all__ = [
-    "FactorisedGroup",
     "FactorisedAURelation",
     "as_factorised",
     "fact_select",
@@ -81,7 +85,6 @@ __all__ = [
     "fact_narrow",
     "fact_extend",
     "fact_rename",
-    "fact_cross",
     "fact_join",
     "fact_groupby_aggregate",
     "fact_sort",
@@ -126,205 +129,78 @@ def pair_rows_materialised() -> int:
 # ---------------------------------------------------------------------------
 
 
-class FactorisedGroup:
-    """One independent component of a factorised relation.
+class FactorisedAURelation:
+    """A columnar AU-relation held as fragments aligned by index vectors.
 
-    ``fragments`` are columnar relations whose rows this group draws from;
-    ``indices`` aligns them — entry ``j`` is either ``None`` (identity: the
-    group's rows *are* fragment ``j``'s rows) or an ``int64`` row vector of
-    length :attr:`size` into fragment ``j`` (matched pairs).  A group with a
-    single fragment, an identity index, and lazy multiplicities is *simple*:
-    operators can mutate the fragment itself (no dead rows ever accumulate).
+    ``fragments`` are columnar relations the logical rows draw from;
+    ``indices`` aligns them row for row: entry ``j`` is either ``None``
+    (identity: logical row ``i`` is fragment ``j``'s row ``i``) or an
+    ``int64`` vector of length :attr:`size` into fragment ``j``.  Each
+    logical row's hypercube is the concatenation of its gathered fragment
+    rows.  A relation is one of two shapes:
 
-    Multiplicities are lazy by default — the pointwise product of the
-    gathered fragment annotations — and become explicit arrays once a
-    selection or join filters them.
+    * **flat** — one fragment under the identity whose own annotations are
+      the relation's (``mults`` is ``None``): a base table, wrapped with no
+      copy.  Operators rebuild the fragment itself, so no dead rows linger.
+    * **paired** — after a join that qualifies for a non-grid kernel: both
+      sides' fragments behind the matched-pair index vectors, under the
+      explicit multiplicity triple ``mults`` the join computed.
+
+    :meth:`expand` materialises the logical relation; every other method
+    keeps the factorised form.
     """
 
-    __slots__ = ("fragments", "indices", "mult_lb", "mult_sg", "mult_ub", "size")
+    __slots__ = ("schema", "fragments", "indices", "mults", "size", "_locate")
 
     def __init__(
         self,
+        schema: Schema,
         fragments: Sequence[ColumnarAURelation],
         indices: Sequence[np.ndarray | None],
-        mult_lb: np.ndarray | None = None,
-        mult_sg: np.ndarray | None = None,
-        mult_ub: np.ndarray | None = None,
-        size: int | None = None,
+        mults: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     ):
+        self.schema = schema
         self.fragments = tuple(fragments)
         self.indices = tuple(indices)
-        if size is None:
-            first = self.indices[0]
-            size = len(self.fragments[0]) if first is None else len(first)
-        self.size = int(size)
-        self.mult_lb = mult_lb
-        self.mult_sg = mult_sg
-        self.mult_ub = mult_ub
-
-    @property
-    def is_simple(self) -> bool:
-        return (
-            len(self.fragments) == 1
-            and self.indices[0] is None
-            and self.mult_lb is None
-        )
-
-    def column(self, name: str) -> AttributeColumn:
-        """One attribute gathered to group-level rows (zero-copy on identity)."""
-        for fragment, idx in zip(self.fragments, self.indices):
-            if name in fragment.schema:
-                column = fragment.column(name)
-                if idx is None:
-                    return column
-                _record(len(idx))
-                return column.take(idx, name)
-        raise KeyError(name)
-
-    def multiplicities(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The group's multiplicity triple (lazy product unless explicit)."""
-        if self.mult_lb is not None:
-            assert self.mult_sg is not None and self.mult_ub is not None
-            return self.mult_lb, self.mult_sg, self.mult_ub
-        lb = sg = ub = None
-        for fragment, idx in zip(self.fragments, self.indices):
-            flb, fsg, fub = fragment.mult_lb, fragment.mult_sg, fragment.mult_ub
-            if idx is not None:
-                _record(len(idx))
-                flb, fsg, fub = flb[idx], fsg[idx], fub[idx]
-            if lb is None:
-                lb, sg, ub = flb, fsg, fub
-            else:
-                lb, sg, ub = lb * flb, sg * fsg, ub * fub
-        assert lb is not None and sg is not None and ub is not None
-        return lb, sg, ub
-
-    def filtered(
-        self,
-        keep: np.ndarray,
-        mult_lb: np.ndarray,
-        mult_sg: np.ndarray,
-        mult_ub: np.ndarray,
-    ) -> "FactorisedGroup":
-        """Rows at ``keep`` (an int64 subsequence) under explicit multiplicities."""
-        _record(len(keep) * len(self.indices))
-        indices = tuple(
-            keep if idx is None else idx[keep] for idx in self.indices
-        )
-        return FactorisedGroup(
-            self.fragments, indices, mult_lb[keep], mult_sg[keep], mult_ub[keep],
-            size=len(keep),
-        )
-
-
-class FactorisedAURelation:
-    """A columnar AU-relation held as a product of independent groups.
-
-    The logical relation is the lexicographic product of :attr:`groups`
-    (group 0 outermost — the eager grid's left-outer / right-inner pair
-    enumeration), each logical row's hypercube the concatenation of the
-    gathered fragment rows and its annotation the product of the group
-    multiplicities.  :meth:`expand` materialises that product; every other
-    method keeps the factorised form.
-    """
-
-    __slots__ = ("schema", "groups", "_locate")
-
-    def __init__(self, schema: Schema, groups: Sequence[FactorisedGroup]):
-        self.schema = schema
-        self.groups = tuple(groups)
-        locate: dict[str, tuple[int, int]] = {}
-        for g, group in enumerate(self.groups):
-            for f, fragment in enumerate(group.fragments):
-                for name in fragment.schema:
-                    locate[name] = (g, f)
-        self._locate = locate
+        self.mults = mults
+        self.size = len(self.fragments[0]) if mults is None else len(mults[0])
+        self._locate = {
+            name: f for f, fragment in enumerate(self.fragments) for name in fragment.schema
+        }
 
     @staticmethod
     def from_columnar(relation: ColumnarAURelation) -> "FactorisedAURelation":
-        """Wrap an expanded relation as a single simple group (zero copies)."""
-        return FactorisedAURelation(
-            relation.schema, (FactorisedGroup((relation,), (None,)),)
-        )
+        """Wrap an expanded relation as a flat one (zero copies)."""
+        return FactorisedAURelation(relation.schema, (relation,), (None,))
 
     @property
     def is_flat(self) -> bool:
-        """Whether this is one simple group: a plain columnar relation, wrapped."""
-        return len(self.groups) == 1 and self.groups[0].is_simple
-
-    # -- geometry -------------------------------------------------------------
+        """Whether this is a plain columnar relation, wrapped."""
+        return self.mults is None
 
     def __len__(self) -> int:
-        n = 1
-        for group in self.groups:
-            n *= group.size
-        return n
-
-    def _strides(self) -> list[int]:
-        """Per-group stride of the lexicographic product (group 0 outermost)."""
-        strides = [1] * len(self.groups)
-        for g in range(len(self.groups) - 2, -1, -1):
-            strides[g] = strides[g + 1] * self.groups[g + 1].size
-        return strides
-
-    def _rows_in_group(self, g: int, pair: np.ndarray) -> np.ndarray:
-        """Group-``g`` row index of each logical pair row in ``pair``."""
-        if len(self.groups) == 1:
-            return pair
-        if len(pair) == 0:
-            return np.empty(0, dtype=np.int64)
-        stride = self._strides()[g]
-        rows = pair // stride if stride > 1 else pair
-        return rows % self.groups[g].size
+        return self.size
 
     # -- materialisation ------------------------------------------------------
 
     def expand(self) -> ColumnarAURelation:
         """The expanded columnar relation — the single materialisation point.
 
-        Bit-identical to running the eager pipeline: columns gather in schema
-        order through the product enumeration, multiplicities multiply
-        pointwise.  A trivial wrapper (one simple group over the full schema)
-        returns its fragment with zero copies.
+        Bit-identical to running the eager pipeline: every column gathers
+        through its fragment's index vector, in schema order, under the pair
+        multiplicities.  A flat relation returns its fragment with zero
+        copies.
         """
         if self.is_flat:
-            fragment = self.groups[0].fragments[0]
-            if fragment.schema == self.schema:
-                return fragment
-            return fragment.restrict(list(self.schema))
-        n = len(self)
-        _record(n * (len(self.schema.attributes) + 1))
-        if n == 0:
-            group_rows = [np.empty(0, dtype=np.int64) for _ in self.groups]
-        else:
-            pair = np.arange(n, dtype=np.int64)
-            strides = self._strides()
-            group_rows = []
-            for g, group in enumerate(self.groups):
-                rows = pair // strides[g] if strides[g] > 1 else pair
-                if len(self.groups) > 1:
-                    rows = rows % group.size
-                group_rows.append(rows)
+            return self.fragments[0]
+        _record(self.size * (len(self.schema.attributes) + 1))
         columns = []
         for name in self.schema:
-            g, f = self._locate[name]
-            group = self.groups[g]
-            column = group.fragments[f].column(name)
-            idx = group_rows[g]
-            frag_idx = group.indices[f]
-            if frag_idx is not None:
-                idx = frag_idx[idx]
-            columns.append(column.take(idx, name))
-        mult_lb = mult_sg = mult_ub = None
-        for g, group in enumerate(self.groups):
-            glb, gsg, gub = group.multiplicities()
-            glb, gsg, gub = glb[group_rows[g]], gsg[group_rows[g]], gub[group_rows[g]]
-            if mult_lb is None:
-                mult_lb, mult_sg, mult_ub = glb, gsg, gub
-            else:
-                mult_lb, mult_sg, mult_ub = mult_lb * glb, mult_sg * gsg, mult_ub * gub
-        assert mult_lb is not None and mult_sg is not None and mult_ub is not None
-        return ColumnarAURelation(self.schema, columns, mult_lb, mult_sg, mult_ub)
+            f = self._locate[name]
+            column = self.fragments[f].column(name)
+            idx = self.indices[f]
+            columns.append(column if idx is None else column.take(idx, name))
+        return ColumnarAURelation(self.schema, columns, *self.multiplicities())
 
     def to_relation(self) -> AURelation:
         """Row-major boundary conversion (expand, then merge zero/equal rows)."""
@@ -333,123 +209,31 @@ class FactorisedAURelation:
     # -- gathering ------------------------------------------------------------
 
     def column(self, name: str) -> AttributeColumn:
-        """One attribute gathered over all logical pair rows (zero-copy when flat)."""
-        g, f = self._locate[name]
-        group = self.groups[g]
-        column = group.fragments[f].column(name)
-        frag_idx = group.indices[f]
-        if len(self.groups) == 1:
-            if frag_idx is None:
-                return column
-            _record(len(frag_idx))
-            return column.take(frag_idx, name)
-        rows = self._rows_in_group(g, np.arange(len(self), dtype=np.int64))
-        idx = rows if frag_idx is None else frag_idx[rows]
+        """One attribute gathered over all logical rows (zero-copy on identity)."""
+        f = self._locate[name]
+        column = self.fragments[f].column(name)
+        idx = self.indices[f]
+        if idx is None:
+            return column
         _record(len(idx))
         return column.take(idx, name)
 
-    def pair_multiplicities(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The multiplicity triple over all logical pair rows."""
-        if len(self.groups) == 1:
-            return self.groups[0].multiplicities()
-        n = len(self)
-        _record(n)
-        mult_lb = mult_sg = mult_ub = None
-        for g, group in enumerate(self.groups):
-            glb, gsg, gub = group.multiplicities()
-            rows = self._rows_in_group(g, np.arange(n, dtype=np.int64))
-            glb, gsg, gub = glb[rows], gsg[rows], gub[rows]
-            if mult_lb is None:
-                mult_lb, mult_sg, mult_ub = glb, gsg, gub
-            else:
-                mult_lb, mult_sg, mult_ub = mult_lb * glb, mult_sg * gsg, mult_ub * gub
-        assert mult_lb is not None and mult_sg is not None and mult_ub is not None
-        return mult_lb, mult_sg, mult_ub
+    def multiplicities(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The multiplicity triple over all logical rows."""
+        if self.mults is not None:
+            return self.mults
+        fragment = self.fragments[0]
+        return fragment.mult_lb, fragment.mult_sg, fragment.mult_ub
 
-    def slim_relation(
-        self, names: Sequence[str], *, rowid: str | None = None
-    ) -> ColumnarAURelation:
-        """Only the named columns, gathered over pairs, with the pair mults.
+    def slim_relation(self, names: Sequence[str]) -> ColumnarAURelation:
+        """Only the named columns, gathered over all rows, with the multiplicities.
 
         The slim twin of ``expand().restrict(names)``: row-local stages
-        (sort / window / groupby) run on it bit-identically because they read
-        nothing else.  With ``rowid`` set, a certain ``int64`` row-number
-        column is appended so stage outputs can be traced back to their
-        source pair (the untouched fragments reattach through it).
+        (project / groupby) run on it bit-identically because they read
+        nothing else.
         """
         columns = [self.column(name) for name in names]
-        schema_names = tuple(names)
-        if rowid is not None:
-            rid = np.arange(len(self), dtype=np.int64)
-            columns.append(AttributeColumn(rowid, rid, rid, rid))
-            schema_names += (rowid,)
-        mult_lb, mult_sg, mult_ub = self.pair_multiplicities()
-        return ColumnarAURelation(
-            Schema(schema_names), columns, mult_lb, mult_sg, mult_ub
-        )
-
-    # -- restructuring --------------------------------------------------------
-
-    def merge_span(self, lo: int, hi: int) -> "FactorisedAURelation":
-        """Groups ``lo..hi`` (inclusive) flattened into one paired group.
-
-        The merged group enumerates the span's sub-product in the same
-        lexicographic order, so the overall pair order is unchanged — this is
-        how an operator whose columns span several groups localises them
-        before pushing down.
-        """
-        if lo == hi:
-            return self
-        span = self.groups[lo : hi + 1]
-        total = 1
-        for group in span:
-            total *= group.size
-        strides = [1] * len(span)
-        for g in range(len(span) - 2, -1, -1):
-            strides[g] = strides[g + 1] * span[g + 1].size
-        if total == 0:
-            pair = np.empty(0, dtype=np.int64)
-        else:
-            pair = np.arange(total, dtype=np.int64)
-        fragments: list[ColumnarAURelation] = []
-        indices: list[np.ndarray | None] = []
-        lazy = all(group.mult_lb is None for group in span)
-        mult_lb = mult_sg = mult_ub = None
-        for g, group in enumerate(span):
-            if total == 0:
-                rows = pair
-            else:
-                rows = pair // strides[g] if strides[g] > 1 else pair
-                rows = rows % group.size if len(span) > 1 else rows
-            _record(total * len(group.indices))
-            for fragment, idx in zip(group.fragments, group.indices):
-                fragments.append(fragment)
-                indices.append(rows if idx is None else idx[rows])
-            if not lazy:
-                glb, gsg, gub = group.multiplicities()
-                glb, gsg, gub = glb[rows], gsg[rows], gub[rows]
-                if mult_lb is None:
-                    mult_lb, mult_sg, mult_ub = glb, gsg, gub
-                else:
-                    mult_lb, mult_sg, mult_ub = (
-                        mult_lb * glb, mult_sg * gsg, mult_ub * gub
-                    )
-        merged = FactorisedGroup(
-            tuple(fragments), tuple(indices), mult_lb, mult_sg, mult_ub, size=total
-        )
-        return FactorisedAURelation(
-            self.schema, self.groups[:lo] + (merged,) + self.groups[hi + 1 :]
-        )
-
-    def _owning_span(self, names: Sequence[str]) -> tuple[int, int]:
-        """The contiguous group span covering ``names`` (group 0 if empty)."""
-        touched = sorted({self._locate[name][0] for name in names}) or [0]
-        return touched[0], touched[-1]
-
-    def _replace_group(self, g: int, group: FactorisedGroup) -> "FactorisedAURelation":
-        return FactorisedAURelation(
-            self.schema, self.groups[:g] + (group,) + self.groups[g + 1 :]
-        )
+        return ColumnarAURelation(Schema(tuple(names)), columns, *self.multiplicities())
 
 
 def as_factorised(
@@ -466,18 +250,29 @@ def as_factorised(
 # ---------------------------------------------------------------------------
 
 
-def _group_slim(
-    fact: FactorisedAURelation, group: FactorisedGroup, names: Sequence[str]
+def _composed(fact: FactorisedAURelation, rows: np.ndarray) -> list[np.ndarray]:
+    """Each fragment's index vector composed with the logical ``rows``.
+
+    ``rows`` is an ``int64`` vector of ``fact``'s rows; the result indexes
+    the same fragments (``idx[rows]``, or ``rows`` itself under the
+    identity), so the fragments' arrays are never copied.
+    """
+    _record(len(rows) * len(fact.indices))
+    return [rows if idx is None else idx[rows] for idx in fact.indices]
+
+
+def _evaluation_slim(
+    fact: FactorisedAURelation, names: Sequence[str]
 ) -> ColumnarAURelation:
-    """Group-level gather of ``names`` under dummy multiplicities.
+    """The ``names`` columns over all rows, under dummy multiplicities.
 
     Expression evaluation never reads multiplicities, so the all-ones dummy
-    is safe; the gather touches only *live* group rows (the index vectors),
-    so rows a previous selection dropped are never evaluated.
+    is safe; the gather touches only *live* rows (the index vectors), so
+    rows a previous selection dropped are never evaluated.
     """
     ordered = [name for name in fact.schema if name in set(names)]
-    columns = [group.column(name) for name in ordered]
-    ones = np.ones(group.size, dtype=np.int64)
+    columns = [fact.column(name) for name in ordered]
+    ones = np.ones(fact.size, dtype=np.int64)
     return ColumnarAURelation(Schema(tuple(ordered)), columns, ones, ones, ones)
 
 
@@ -485,33 +280,30 @@ def fact_select(
     fact: FactorisedAURelation,
     predicate: Expression | Callable[[AUTuple], RangeBool],
 ) -> "FactorisedAURelation | ColumnarAURelation":
-    """Selection pushed into the group owning the predicate's columns.
+    """Selection that filters the fragment, or the index vectors of pairs.
 
-    The predicate's bounding-triple masks are evaluated at group level (over
-    the merged span when the referenced columns straddle groups), the group's
-    multiplicities filter per component, and rows with a zero possible
-    multiplicity drop out of the group — exactly the eager
-    :func:`repro.columnar.operators.select` applied through the product.
+    A flat relation filters its fragment.  On a paired one the predicate's
+    bounding-triple masks are evaluated over a gather of only the columns it
+    reads, the multiplicities filter per component, and rows with a zero
+    possible multiplicity drop out of the index vectors — exactly the eager
+    :func:`repro.columnar.operators.select` applied to the expansion.
     Callable predicates (unknown column set) expand and run eagerly.
     """
     refs = referenced_attributes(predicate)
     if refs is None or not refs <= set(fact.schema):
         return ops.select(fact.expand(), predicate)
-    lo, hi = fact._owning_span(sorted(refs))
-    fact = fact.merge_span(lo, hi)
-    group = fact.groups[lo]
-    if group.is_simple:
-        fragment = group.fragments[0]
-        filtered = ops.select(fragment, predicate)
-        return fact._replace_group(lo, FactorisedGroup((filtered,), (None,)))
-    slim = _group_slim(fact, group, sorted(refs))
-    certain, sg, possible = predicate_masks(slim, predicate)
-    glb, gsg, gub = group.multiplicities()
-    mult_lb = np.where(certain, glb, 0)
-    mult_sg = np.where(sg, gsg, 0)
+    if fact.is_flat:
+        return FactorisedAURelation.from_columnar(ops.select(fact.fragments[0], predicate))
+    certain, sg, possible = predicate_masks(_evaluation_slim(fact, refs), predicate)
+    glb, gsg, gub = fact.multiplicities()
     mult_ub = np.where(possible, gub, 0)
     keep = np.flatnonzero(mult_ub > 0)
-    return fact._replace_group(lo, group.filtered(keep, mult_lb, mult_sg, mult_ub))
+    mults = (
+        np.where(certain, glb, 0)[keep],
+        np.where(sg, gsg, 0)[keep],
+        mult_ub[keep],
+    )
+    return FactorisedAURelation(fact.schema, fact.fragments, _composed(fact, keep), mults)
 
 
 def fact_project(
@@ -536,23 +328,14 @@ def fact_narrow(
     Unlike :func:`fact_project`, equal hypercubes do not merge, so every later
     stage sees the same rows in the same order.  Each fragment keeps only its
     listed columns, sharing the arrays; fragments, index vectors and
-    multiplicities all stay, so a fragment left with no columns still
-    contributes its annotations to a lazy product.
+    multiplicities all stay.
     """
     schema = fact.schema.project(list(attributes))
-    groups = []
-    for group in fact.groups:
-        fragments = [
-            fragment.restrict([name for name in schema if name in fragment.schema])
-            for fragment in group.fragments
-        ]
-        groups.append(
-            FactorisedGroup(
-                fragments, group.indices,
-                group.mult_lb, group.mult_sg, group.mult_ub, size=group.size,
-            )
-        )
-    return FactorisedAURelation(schema, groups)
+    fragments = [
+        fragment.restrict([name for name in schema if name in fragment.schema])
+        for fragment in fact.fragments
+    ]
+    return FactorisedAURelation(schema, fragments, fact.indices, fact.mults)
 
 
 def fact_extend(
@@ -560,40 +343,32 @@ def fact_extend(
     name: str,
     expression: Expression | Callable[[AUTuple], RangeValue],
 ) -> "FactorisedAURelation | ColumnarAURelation":
-    """Computed column, evaluated inside the group owning its inputs.
+    """Computed column, evaluated over only the columns it reads.
 
-    The new column joins that group as an identity-aligned single-column
-    fragment under neutral (all-ones) multiplicities, so the product's
-    annotations are unchanged.  Callable expressions expand and run eagerly.
+    A flat relation extends its fragment.  On a paired one the new column
+    joins as an identity-aligned single-column fragment under neutral
+    (all-ones) multiplicities, so the pair annotations are unchanged.
+    Callable expressions expand and run eagerly.
     """
     fact.schema.extend(name)  # validates the name early (clear SchemaError)
     refs = referenced_attributes(expression)
     if refs is None or not refs <= set(fact.schema):
         return ops.extend(fact.expand(), name, expression)
-    lo, hi = fact._owning_span(sorted(refs))
-    fact = fact.merge_span(lo, hi)
-    group = fact.groups[lo]
-    schema = fact.schema.extend(name)
-    if group.is_simple:
-        extended = ops.extend(group.fragments[0], name, expression)
-        groups = fact.groups[:lo] + (FactorisedGroup((extended,), (None,)),) + fact.groups[lo + 1 :]
-        return FactorisedAURelation(schema, groups)
-    slim = _group_slim(fact, group, sorted(refs))
-    lb, sg, ub = range_columns(slim, expression)
-    ones = np.ones(group.size, dtype=np.int64)
+    if fact.is_flat:
+        return FactorisedAURelation.from_columnar(
+            ops.extend(fact.fragments[0], name, expression)
+        )
+    lb, sg, ub = range_columns(_evaluation_slim(fact, refs), expression)
+    ones = np.ones(fact.size, dtype=np.int64)
     extra = ColumnarAURelation(
         Schema((name,)), (AttributeColumn(name, lb, sg, ub),), ones, ones, ones
     )
-    extended_group = FactorisedGroup(
-        group.fragments + (extra,),
-        group.indices + (None,),
-        group.mult_lb,
-        group.mult_sg,
-        group.mult_ub,
-        size=group.size,
+    return FactorisedAURelation(
+        fact.schema.extend(name),
+        fact.fragments + (extra,),
+        fact.indices + (None,),
+        fact.mults,
     )
-    groups = fact.groups[:lo] + (extended_group,) + fact.groups[lo + 1 :]
-    return FactorisedAURelation(schema, groups)
 
 
 def fact_rename(
@@ -602,19 +377,11 @@ def fact_rename(
     """Attributes renamed per fragment (arrays shared, structure unchanged)."""
     mapping = dict(mapping)
     schema = fact.schema.rename(mapping)  # validates clashes on the full schema
-    groups = []
-    for group in fact.groups:
-        fragments = []
-        for fragment in group.fragments:
-            sub = {old: new for old, new in mapping.items() if old in fragment.schema}
-            fragments.append(fragment.rename(sub) if sub else fragment)
-        groups.append(
-            FactorisedGroup(
-                tuple(fragments), group.indices,
-                group.mult_lb, group.mult_sg, group.mult_ub, size=group.size,
-            )
-        )
-    return FactorisedAURelation(schema, tuple(groups))
+    fragments = []
+    for fragment in fact.fragments:
+        sub = {old: new for old, new in mapping.items() if old in fragment.schema}
+        fragments.append(fragment.rename(sub) if sub else fragment)
+    return FactorisedAURelation(schema, fragments, fact.indices, fact.mults)
 
 
 def _disambiguated(
@@ -627,19 +394,6 @@ def _disambiguated(
         old: new for old, new in zip(right.schema, renamed) if old != new
     }
     return schema, (fact_rename(right, mapping) if mapping else right)
-
-
-def fact_cross(
-    left: FactorisedAURelation, right: FactorisedAURelation
-) -> FactorisedAURelation:
-    """Cross product as pure group concatenation — no pair enumeration at all.
-
-    The result's group list is ``left.groups + right.groups`` (right-hand
-    name clashes ``_r``-suffixed), whose lexicographic product is exactly the
-    eager grid's left-outer / right-inner pair order.
-    """
-    schema, right = _disambiguated(left, right)
-    return FactorisedAURelation(schema, left.groups + right.groups)
 
 
 def _take_column(column: AttributeColumn, idx: np.ndarray, name: str) -> AttributeColumn:
@@ -662,11 +416,11 @@ def fact_join(
     non-grid candidate enumeration qualifies — any ``on`` key certain on one
     side (searchsorted), both sides uncertain but exactly vectorizable (the
     range×range sweep), or a band window extractable from the predicate of a
-    key-less join (the shifted-endpoint sweep) — the result is a single
-    paired group holding *both* sides' fragments aligned by the surviving
+    key-less join (the shifted-endpoint sweep) — the result is a paired
+    relation holding *both* sides' fragments aligned by the surviving
     candidate pairs: only the key columns and the pair index vectors
     materialise, never the payloads.  An empty side yields an empty paired
-    group whatever the method.  Grid-method requests and non-qualifying
+    relation whatever the method.  Grid-method requests and non-qualifying
     inputs expand both sides and run
     :func:`~repro.columnar.operators.grid_join` (automatic fallback,
     bit-identical by construction).
@@ -749,7 +503,7 @@ def _fact_join_pairs(
     left_rows: np.ndarray,
     right_rows: np.ndarray,
 ) -> FactorisedAURelation:
-    """One paired group over the candidate pairs that possibly join.
+    """A paired relation over the candidate pairs that possibly join.
 
     Each candidate is re-checked exactly: range equality on the key columns,
     then the predicate over a slim gather of the columns it reads.  Pairs
@@ -804,30 +558,18 @@ def _fact_join_pairs(
         sg &= p_sg
         possible &= p_poss
 
-    llb, lsg, lub = left.pair_multiplicities()
-    rlb, rsg, rub = right.pair_multiplicities()
+    llb, lsg, lub = left.multiplicities()
+    rlb, rsg, rub = right.multiplicities()
     mult_lb = np.where(certain, llb[left_rows] * rlb[right_rows], 0)
     mult_sg = np.where(sg, lsg[left_rows] * rsg[right_rows], 0)
     mult_ub = np.where(possible, lub[left_rows] * rub[right_rows], 0)
     keep = np.flatnonzero(mult_ub > 0)
-    left_rows = left_rows[keep]
-    right_rows = right_rows[keep]
-    mult_lb, mult_sg, mult_ub = mult_lb[keep], mult_sg[keep], mult_ub[keep]
-
-    fragments: list[ColumnarAURelation] = []
-    indices: list[np.ndarray | None] = []
-    for fact, rows in ((left, left_rows), (right_renamed, right_rows)):
-        for g, group in enumerate(fact.groups):
-            group_rows = fact._rows_in_group(g, rows)
-            _record(len(rows) * len(group.indices))
-            for fragment, idx in zip(group.fragments, group.indices):
-                fragments.append(fragment)
-                indices.append(group_rows if idx is None else idx[group_rows])
-    merged = FactorisedGroup(
-        tuple(fragments), tuple(indices), mult_lb, mult_sg, mult_ub,
-        size=len(left_rows),
+    return FactorisedAURelation(
+        schema,
+        left.fragments + right_renamed.fragments,
+        _composed(left, left_rows[keep]) + _composed(right_renamed, right_rows[keep]),
+        (mult_lb[keep], mult_sg[keep], mult_ub[keep]),
     )
-    return FactorisedAURelation(schema, (merged,))
 
 
 def fact_groupby_aggregate(
@@ -877,17 +619,11 @@ def _gather_sg_codes(fact: FactorisedAURelation, name: str) -> np.ndarray:
     """
     from repro.columnar.kernels import component_rank_codes
 
-    g, f = fact._locate[name]
-    group = fact.groups[g]
-    codes = component_rank_codes(group.fragments[f].column(name), ("sg",))[0]
-    frag_idx = group.indices[f]
-    if len(fact.groups) == 1:
-        if frag_idx is None:
-            return codes
-        idx = frag_idx
-    else:
-        rows = fact._rows_in_group(g, np.arange(len(fact), dtype=np.int64))
-        idx = rows if frag_idx is None else frag_idx[rows]
+    f = fact._locate[name]
+    codes = component_rank_codes(fact.fragments[f].column(name), ("sg",))[0]
+    idx = fact.indices[f]
+    if idx is None:
+        return codes
     _record(len(idx))
     return codes[idx]
 
@@ -945,10 +681,9 @@ def _ranked_slim(
     columns.extend(fact.column(name) for name in extras)
     rid = np.arange(len(fact), dtype=np.int64)
     columns.append(AttributeColumn(rowid, rid, rid, rid))
-    mult_lb, mult_sg, mult_ub = fact.pair_multiplicities()
     schema = Schema(tuple(order_names) + (tie,) + tuple(extras) + (rowid,))
     return (
-        ColumnarAURelation(schema, columns, mult_lb, mult_sg, mult_ub),
+        ColumnarAURelation(schema, columns, *fact.multiplicities()),
         rowid,
         tie,
     )
@@ -958,8 +693,7 @@ def _any_fragment_nan(fact: FactorisedAURelation) -> bool:
     """Whether any fragment column carries NaN anywhere (conservative gate)."""
     return any(
         ops._components_carry_nan(column)
-        for group in fact.groups
-        for fragment in group.fragments
+        for fragment in fact.fragments
         for column in fragment.columns
     )
 
@@ -973,34 +707,21 @@ def _reattached(
 ) -> FactorisedAURelation:
     """Stage output rows re-joined to the untouched fragments.
 
-    ``source_rows`` maps each output row to its source pair; every original
+    ``source_rows`` maps each output row to its source row; every original
     fragment keeps its arrays and gets a composed index vector, the stage's
     new column rides along as an identity-aligned fragment, and the stage's
-    (replaced) multiplicities become the group's explicit triple.
+    (replaced) multiplicities become the explicit triple.
     """
-    fragments: list[ColumnarAURelation] = []
-    indices: list[np.ndarray | None] = []
-    for g, group in enumerate(fact.groups):
-        rows = fact._rows_in_group(g, source_rows)
-        _record(len(source_rows) * len(group.indices))
-        for fragment, idx in zip(group.fragments, group.indices):
-            fragments.append(fragment)
-            indices.append(rows if idx is None else idx[rows])
     ones = np.ones(len(source_rows), dtype=np.int64)
-    fragments.append(
-        ColumnarAURelation(
-            Schema((extra_name,)),
-            (extra.renamed(extra_name),),
-            ones,
-            ones,
-            ones,
-        )
+    column = ColumnarAURelation(
+        Schema((extra_name,)), (extra.renamed(extra_name),), ones, ones, ones
     )
-    indices.append(None)
-    merged = FactorisedGroup(
-        tuple(fragments), tuple(indices), *mults, size=len(source_rows)
+    return FactorisedAURelation(
+        fact.schema.extend(extra_name),
+        fact.fragments + (column,),
+        _composed(fact, source_rows) + [None],
+        mults,
     )
-    return FactorisedAURelation(fact.schema.extend(extra_name), (merged,))
 
 
 def fact_sort(
@@ -1026,9 +747,10 @@ def fact_sort(
     fact.schema.require(list(order_by))
     fact.schema.extend(position_attribute)  # validates the output name early
     if fact.is_flat or _any_fragment_nan(fact):
-        # A flat relation has no fragments to reattach.  NaN rank codes must
-        # be computed on one shared value pool to tie consistently.  The eager
-        # stage (the reference) handles both cases.
+        # A flat relation has no fragments to reattach.  A NaN tiebreak
+        # column must be rank-coded on one shared value pool to tie
+        # consistently.  The eager stage (the reference) handles both cases,
+        # and rejects a NaN order-by bound.
         return FactorisedAURelation.from_columnar(
             sort_stage(
                 fact.expand(),

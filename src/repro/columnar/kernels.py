@@ -316,16 +316,15 @@ def oriented_key_bounds(
 
     Under a descending order the earliest bound of a range is its upper end,
     realised by swapping and negating the components, as
-    :func:`order_code_matrices` does with rank codes.  Raw values compare
+    :func:`order_code_matrices` does with rank codes.  On a NaN-free column
+    (the sort stage rejects NaN order-by bounds first), raw values compare
     like those codes exactly when the three components share one numeric
-    dtype, hold no NaN, and negate without overflow (no ``int64`` minimum
-    under ``descending``); anything else returns ``None``.
+    dtype and negate without overflow (no ``int64`` minimum under
+    ``descending``); anything else returns ``None``.
     """
     comps = (column.lb, column.sg, column.ub)
     dtype = comps[0].dtype
     if dtype.kind not in "if" or any(arr.dtype != dtype for arr in comps):
-        return None
-    if dtype.kind == "f" and any(bool(np.isnan(arr).any()) for arr in comps):
         return None
     if not descending:
         return comps
@@ -336,13 +335,6 @@ def oriented_key_bounds(
     ):
         return None
     return -column.ub, -column.sg, -column.lb
-
-
-def _holds_nan(arr: np.ndarray) -> bool:
-    """Whether a component array holds NaN, a float NaN in an ``object`` array included."""
-    if arr.dtype.kind == "f" or arr.dtype == object:
-        return bool((arr != arr).any())
-    return False
 
 
 def topk_candidates(
@@ -367,14 +359,12 @@ def topk_candidates(
        every row.  On the candidates, every row keeps its ``pos_lb`` and
        every survivor its position triple.
 
-    A NaN in the column breaks ``e <= sg <= l`` in code order, so it keeps
-    every row, as does total certain multiplicity below ``k``.  ``k == 0``
-    keeps none.
+    The column holds no NaN: the sort stage rejects NaN order-by bounds
+    before it asks.  Total certain multiplicity below ``k`` keeps every row;
+    ``k == 0`` keeps none.
     """
     if k == 0:
         return np.empty(0, dtype=np.int64)
-    if any(_holds_nan(arr) for arr in (column.lb, column.sg, column.ub)):
-        return None
     if int(mult_lb.sum()) < k:
         return None
     keys = oriented_key_bounds(column, descending=descending)

@@ -76,8 +76,8 @@ class ColumnarPlan:
     """A fluent, immutable chain of columnar operators.
 
     A plan always holds a :class:`FactorisedAURelation`: a base table is its
-    flat, one-group case (wrapped with no copy), and a join or cross product
-    keeps its pair layout.  Each method is one call into
+    flat case (wrapped with no copy), and a join that qualifies for a
+    non-grid kernel keeps its paired layout.  Each method is one call into
     :mod:`repro.columnar.factorised` and returns a new plan; the intermediate
     is exposed through :meth:`factorised` (no conversion), :meth:`columnar`
     (expanded) and :meth:`to_rows` (the row-major plan boundary).
@@ -111,8 +111,8 @@ class ColumnarPlan:
         """The current intermediate result as an expanded columnar relation.
 
         A flat intermediate returns its relation with no conversion; a paired
-        one (downstream of a :meth:`join` / :meth:`cross`) expands here —
-        :meth:`factorised` exposes it without materialisation.
+        one (downstream of a :meth:`join`) expands here — :meth:`factorised`
+        exposes it without materialisation.
         """
         return self._relation.expand()
 
@@ -178,14 +178,9 @@ class ColumnarPlan:
         )
 
     def cross(self, other: "ColumnarPlan | AURelation | ColumnarAURelation") -> "ColumnarPlan":
-        """Cross product as a factorised relation — no pair materialisation.
-
-        The result stays a :class:`FactorisedAURelation` product of the two
-        inputs' components; it expands only at :meth:`to_rows` (or when a
-        later stage genuinely spans both sides).
-        """
+        """Cross product of the expanded inputs (every pair materialises)."""
         return ColumnarPlan(
-            fx.fact_cross(self._relation, ColumnarPlan(other).factorised())
+            ops.cross(self._relation.expand(), ColumnarPlan(other).columnar())
         )
 
     def join(

@@ -35,9 +35,11 @@ from repro.columnar.kernels import (
     sort_position_bounds_ranked,
     topk_candidates,
 )
+from repro.columnar.operators import _components_carry_nan
 from repro.columnar.relation import AttributeColumn, ColumnarAURelation, as_columnar
 from repro.core.relation import AURelation
 from repro.errors import OperatorError
+from repro.ranking.positions import nan_order_error
 from repro.relational.sort import validate_k
 
 __all__ = ["sort_stage", "sort_columnar"]
@@ -75,11 +77,17 @@ def sort_stage(
     the sole ``<ᵗᵒᵗᵃˡ_O`` tiebreak key, skipping the rank-coding of the
     remaining columns (the factorised layer's pre-ranked slim relations use
     this).
+
+    A NaN bound in an order-by attribute raises
+    :func:`~repro.ranking.positions.nan_order_error`, as the Python sorts do.
     """
     if not order_by:
         raise OperatorError("sort requires at least one order-by attribute")
     columnar = as_columnar(relation)
     columnar.schema.require(list(order_by))
+    for name in order_by:
+        if _components_carry_nan(columnar.column(name)):
+            raise nan_order_error(name)
     columnar.schema.extend(position_attribute)  # validates the name early
     if k is not None:
         k = validate_k(k)

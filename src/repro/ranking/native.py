@@ -24,7 +24,12 @@ from typing import Sequence
 from repro.core.ranges import RangeValue
 from repro.core.relation import AURelation
 from repro.errors import OperatorError
-from repro.ranking.positions import RankedItem, relation_items, sort_key_value
+from repro.ranking.positions import (
+    RankedItem,
+    reject_nan_order_keys,
+    relation_items,
+    sort_key_value,
+)
 from repro.ranking.semantics import split_duplicates
 from repro.relational.sort import validate_k
 
@@ -76,7 +81,9 @@ def sort_native(
 
     ``backend="columnar"`` evaluates the same bounds with the NumPy-backed
     vectorized kernels of :mod:`repro.columnar` (results are bit-identical;
-    the heap sweep is replaced by the batched emission schedule).
+    the heap sweep is replaced by the batched emission schedule).  A NaN
+    bound in an order-by attribute raises
+    :func:`~repro.ranking.positions.nan_order_error` on both backends.
     """
     if k is not None:
         k = validate_k(k)
@@ -100,6 +107,27 @@ def sort_native(
     if not order_by:
         raise OperatorError("sort requires at least one order-by attribute")
     items = relation_items(relation, order_by, descending=descending)
+    reject_nan_order_keys(items, order_by)
+    return position_sweep(
+        relation, items, order_by,
+        k=k, position_attribute=position_attribute, descending=descending,
+    )
+
+
+def position_sweep(
+    relation: AURelation,
+    items: list[RankedItem],
+    order_by: Sequence[str],
+    *,
+    k: int | None = None,
+    position_attribute: str = "pos",
+    descending: bool = False,
+) -> AURelation:
+    """Algorithm 1's sweep over ``relation``'s ranked ``items``, unchecked.
+
+    :func:`sort_native` runs it once the order-by keys hold no NaN; the
+    window sweep calls it directly, because windows keep their own NaN rule.
+    """
     sg_positions = _sg_positions(items, order_by, descending=descending)
 
     items.sort(key=lambda item: item.key_lower)

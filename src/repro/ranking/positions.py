@@ -33,6 +33,7 @@ from repro.core.multiplicity import Multiplicity
 from repro.core.ranges import RangeValue
 from repro.core.relation import AURelation
 from repro.core.tuples import AUTuple
+from repro.errors import OperatorError
 from repro.relational.sort import sort_key_value
 
 __all__ = [
@@ -46,6 +47,8 @@ __all__ = [
     "position_bounds",
     "RankedItem",
     "relation_items",
+    "nan_order_error",
+    "reject_nan_order_keys",
 ]
 
 
@@ -174,6 +177,35 @@ def relation_items(
             )
         )
     return items
+
+
+def nan_order_error(attribute: str) -> OperatorError:
+    """The error every uncertain sort raises for a NaN bound in ``attribute``.
+
+    NaN compares false with every value, so no order places it and a row
+    holding one has no position bounds: the python sweeps and the columnar
+    rank codes would each resolve the broken comparisons their own way.  The
+    python sorts (:func:`reject_nan_order_keys`) and the columnar
+    :func:`repro.columnar.sort.sort_stage` raise this one error instead.
+    Windows keep their own rule: a NaN relation runs the native window sweep.
+    """
+    return OperatorError(
+        f"cannot order by attribute {attribute!r}: it holds a NaN bound, which "
+        "no sort order can place; filter or replace the NaN values first"
+    )
+
+
+def reject_nan_order_keys(items: Sequence[RankedItem], order_by: Sequence[str]) -> None:
+    """Raise :func:`nan_order_error` for the first order-by attribute with a NaN bound."""
+    if not items:
+        return
+    schema = items[0].tup.schema
+    for name in order_by:
+        index = schema.index_of(name)
+        for item in items:
+            value = item.tup.values[index]
+            if value.lb != value.lb or value.sg != value.sg or value.ub != value.ub:
+                raise nan_order_error(name)
 
 
 def position_bounds(

@@ -16,7 +16,12 @@ from repro.core.multiplicity import Multiplicity, duplicate_annotation
 from repro.core.ranges import RangeValue
 from repro.core.relation import AURelation
 from repro.errors import OperatorError
-from repro.ranking.positions import RankedItem, relation_items, sg_before
+from repro.ranking.positions import (
+    RankedItem,
+    reject_nan_order_keys,
+    relation_items,
+    sg_before,
+)
 
 __all__ = ["sort_rewrite", "split_duplicates"]
 
@@ -79,6 +84,7 @@ def sort_rewrite(
     if not order_by:
         raise OperatorError("sort requires at least one order-by attribute")
     items = relation_items(relation, order_by, descending=descending)
+    reject_nan_order_keys(items, order_by)
     positions = _base_positions(items, order_by, descending=descending)
 
     out_schema = relation.schema.extend(position_attribute)

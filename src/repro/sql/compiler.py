@@ -647,7 +647,7 @@ def compile_sql(
     if optimize:
         from repro.sql.optimizer import optimize_plan
 
-        plan = optimize_plan(unoptimized, catalog)
+        plan = optimize_plan(unoptimized)
     return CompiledQuery(
         query=query, statement=statement, plan=plan, unoptimized=unoptimized,
         backend=backend, catalog=catalog,
@@ -668,16 +668,15 @@ def run_sql(
 # -- serving templates --------------------------------------------------------
 
 
-def sql_to_spec(query: str, schema: Schema, *, table: str | None = None) -> PlanSpec:
+def sql_to_spec(query: str, schema: Schema) -> PlanSpec:
     """Lower a single-table SQL template into its (unoptimized) plan tree.
 
     The tree plugs into :class:`repro.serving.server.QueryServer`: its
     constants become shape-key slots, so differently-bound parameters share
     one cached plan shape.  ``schema`` is the base relation's schema; the
-    query's ``FROM`` table (any name, or ``table`` to enforce one) is the
-    tree's one input, which :meth:`~repro.plan.PlanSpec.apply` feeds with
-    the base relation.  Joins are rejected: a served view reads one base
-    relation.
+    query's ``FROM`` table (any name) is the tree's one input, which
+    :meth:`~repro.plan.PlanSpec.apply` feeds with the base relation.  Joins
+    are rejected: a served view reads one base relation.
     """
     statement = parse(query)
     if statement.joins:
@@ -685,10 +684,5 @@ def sql_to_spec(query: str, schema: Schema, *, table: str | None = None) -> Plan
             "SQL templates for the serving layer must read a single table",
             query=query,
             line=statement.joins[0].table.line, column=statement.joins[0].table.column,
-        )
-    if table is not None and statement.source.name != table:
-        raise SqlError(
-            f"template must read table {table!r}", query=query,
-            line=statement.source.line, column=statement.source.column,
         )
     return lower(query, statement, {statement.source.name: schema})

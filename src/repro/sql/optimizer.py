@@ -15,11 +15,10 @@ one at a time, composed by :func:`optimize_plan`:
   treats them as requiring every input column — pruning never reaches
   through them.
 * :func:`prefer_kernel_joins` — every join's ``method`` flips from the
-  lowered ``"grid"`` to ``"auto"``, and its ``on`` keys reorder so a key
-  with a certain (lb == sg == ub) side anchors first, steering
-  ``planned_join_kernel`` to searchsorted / sweep / band.  Key equalities
-  commute and all kernels re-check candidates exactly, so results stay
-  bit-identical.
+  lowered ``"grid"`` to ``"auto"``, so ``planned_join_kernel`` picks
+  searchsorted / sweep / band (searchsorted anchors on any key with a
+  certain side, wherever it sits in the ``on`` list).  All kernels re-check
+  candidates exactly, so results stay bit-identical.
 
 All three are pure functions from plan tree to plan tree.
 """
@@ -45,11 +44,11 @@ __all__ = [
 ]
 
 
-def optimize_plan(plan: PlanSpec, catalog: Mapping | None = None) -> PlanSpec:
+def optimize_plan(plan: PlanSpec) -> PlanSpec:
     """All rewrites, in dependency order (pushdown feeds the pruner)."""
     plan = push_down_predicates(plan)
     plan = prune_columns(plan)
-    plan = prefer_kernel_joins(plan, catalog)
+    plan = prefer_kernel_joins(plan)
     return plan
 
 
@@ -273,90 +272,18 @@ def _prune_join(node: L.Join, required: Optional[frozenset]) -> PlanSpec:
 # -- join kernel preference --------------------------------------------------
 
 
-def prefer_kernel_joins(
-    plan: PlanSpec, catalog: Mapping | None = None
-) -> PlanSpec:
-    """Request ``method="auto"`` everywhere and anchor certain join keys first.
-
-    ``candidate_key_pairs`` probes the first key for certainty to pick
-    searchsorted over the sweep, so putting a key whose origin column is
-    fully certain (lb == sg == ub on every row) up front lets qualifying
-    joins take the cheapest kernel.  Needs ``catalog`` data to probe; with
-    no catalog the keys keep their query order (still ``auto``).
-    """
+def prefer_kernel_joins(plan: PlanSpec) -> PlanSpec:
+    """Request ``method="auto"`` on every join (the lowering asks for the grid)."""
 
     def rewrite(node: PlanSpec) -> PlanSpec:
         if isinstance(node, L.Join):
-            on = node.on
-            if on and len(on) > 1 and catalog is not None:
-                anchored = sorted(
-                    on,
-                    key=lambda name: 0 if (
-                        _origin_certain(node.left, name, catalog)
-                        or _origin_certain(node.right, name, catalog)
-                    ) else 1,
-                )
-                on = tuple(anchored)
             return L.Join(
                 rewrite(node.left), rewrite(node.right),
-                on=on, predicate=node.predicate, method="auto",
+                on=node.on, predicate=node.predicate, method="auto",
             )
         return _rebuild(node, rewrite)
 
     return rewrite(plan)
-
-
-def _origin_certain(node: PlanSpec, name: str, catalog: Mapping) -> bool:
-    """Whether ``name`` traces to a base-table column that is fully certain.
-
-    Filters and narrows only remove rows/columns, so certainty at the scan
-    is preserved at the join input.
-    """
-    origin = _origin(node, name)
-    if origin is None:
-        return False
-    table, column = origin
-    relation = catalog.get(table)
-    if relation is None:
-        return False
-    return _column_certain(relation, column)
-
-
-def _origin(node: PlanSpec, name: str):
-    if isinstance(node, L.Scan):
-        return (node.table, name) if name in node.schema.attributes else None
-    if isinstance(node, (L.Narrow, L.Filter)):
-        return _origin(node.child, name)
-    if isinstance(node, L.Join):
-        left_schema = plan_schema(node.left)
-        if name in left_schema.attributes:
-            return _origin(node.left, name)
-        right_schema = plan_schema(node.right)
-        post = left_schema.concat(right_schema, disambiguate=True)
-        post_right = post.attributes[len(left_schema):]
-        mapping = dict(zip(post_right, right_schema.attributes))
-        if name in mapping:
-            return _origin(node.right, mapping[name])
-        return None
-    return None
-
-
-def _column_certain(relation, column: str) -> bool:
-    values = getattr(relation, "column", None)
-    if values is not None:  # columnar: vectorized component comparison
-        col = relation.column(column)
-        try:
-            import numpy as np
-
-            return bool(np.array_equal(col.lb, col.ub))
-        except Exception:  # pragma: no cover - defensive
-            return False
-    index = relation.schema.index_of(column)
-    for row, _mult in relation:
-        value = row.values[index]
-        if value.lb != value.ub:
-            return False
-    return True
 
 
 # -- generic reconstruction --------------------------------------------------

@@ -37,7 +37,8 @@ from repro.errors import OperatorError
 from repro.core.ranges import RangeValue
 from repro.core.relation import AURelation
 from repro.core.tuples import AUTuple
-from repro.ranking.native import sort_native
+from repro.ranking.native import position_sweep
+from repro.ranking.positions import relation_items
 from repro.relational.aggregates import aggregate
 from repro.window.bounds import WindowMember, aggregate_bounds, sweeps_values
 from repro.window.semantics import window_rewrite
@@ -216,8 +217,12 @@ def _sweep(
 
 def _materialise_items(relation: AURelation, spec: WindowSpec) -> list[_Item]:
     """Run the native sort and flatten its output into sweep items."""
-    ranked = sort_native(
-        relation, spec.order_by, position_attribute=_POSITION, descending=spec.descending
+    ranked = position_sweep(
+        relation,
+        relation_items(relation, spec.order_by, descending=spec.descending),
+        spec.order_by,
+        position_attribute=_POSITION,
+        descending=spec.descending,
     )
     base_attrs = list(relation.schema.attributes)
     items: list[_Item] = []

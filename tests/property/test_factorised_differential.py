@@ -1,23 +1,26 @@
 """Three-way differential: paired factorised plans vs flat plans vs Python.
 
 Randomized ``select -> join -> {select, project, narrow, groupby, window,
-sort}`` chains run through three independent executions:
+sort, extend, rename}`` chains, and ``select -> join -> extend -> join ->
+{select, sort, window}`` chains whose second join reads an input that is
+already paired, run through three independent executions:
 
 * **paired** — one chained :class:`~repro.columnar.plan.ColumnarPlan`
-  whose join emits a :class:`~repro.columnar.factorised.FactorisedAURelation`
-  paired group (fragments plus pair indices; post-join stages push down into
-  fragments or operate on slim gathers, never the full expanded product);
-* **flat** — the same plan expanded right after the join
+  whose joins emit a paired
+  :class:`~repro.columnar.factorised.FactorisedAURelation` (fragments plus
+  pair index vectors; later stages push down into fragments or operate on
+  slim gathers, never the full expanded product);
+* **flat** — the same plan expanded right after each join
   (``plan.columnar()`` is a sanctioned materialisation point) and wrapped
-  again, so the post-join stage runs on the flat, one-group layout, where
-  the ranked stages take the eager kernels; and
+  again, so the next stage runs on the flat layout, where the ranked stages
+  take the eager kernels; and
 * **python** — the tuple-at-a-time reference operators.
 
 All three must agree bit for bit at the relation boundary (same hypercubes,
 same ``N³`` triples, same first-occurrence row order).  The inputs cover bag
-multiplicities (``ub > 1``), uncertain join keys (which push the factorised
-join onto its automatic expand-and-fallback path — pinned here to stay
-bit-identical), and object-dtype payload *and* key columns.
+multiplicities (``ub > 1``), empty sides, uncertain join keys (which the
+range×range sweep keeps paired), and object-dtype payload *and* key
+columns (object keys take the automatic expand-and-grid fallback).
 
 A last property pins the row boundary itself: every result converts to the
 same rows, type for type, whether its columns carry the input's range-value
@@ -31,7 +34,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.expressions import attr, const
-from repro.core.operators import groupby_aggregate, join, project, select
+from repro.core.operators import (
+    extend,
+    groupby_aggregate,
+    join,
+    project,
+    rename,
+    select,
+)
 from repro.core.ranges import RangeValue
 from repro.core.relation import AURelation
 from repro.core.schema import Schema
@@ -60,13 +70,16 @@ SETTINGS = settings(max_examples=60, deadline=None)
 #: window stages pin the folded tiebreak: the factorised path pre-ranks the
 #: ``<ᵗᵒᵗᵃˡ_O`` comparator into one strict column and passes it as the stage
 #: kernels' sole non-order-by sort key (``strict_tiebreak``), which must stay
-#: bit-identical to the eager rank-coded key stack.
-STAGES = ("select", "project", "narrow", "groupby", "window", "sort")
+#: bit-identical to the eager rank-coded key stack.  ``extend`` reads both
+#: sides of the join and ``rename`` renames a column of each.
+STAGES = ("select", "project", "narrow", "groupby", "window", "sort", "extend", "rename")
 
 GROUPBY_AGGREGATES = [("count", "*", "n"), ("sum", "b", "s")]
 WINDOW = WindowSpec(
     function="sum", attribute="b", output="w", order_by=("a",), frame=(-1, 0)
 )
+EXTEND = attr("a") + attr("b")
+RENAME = {"a": "x", "b": "y"}
 
 
 def assert_same_relation(expected: AURelation, actual: AURelation) -> None:
@@ -90,7 +103,30 @@ def run_python(left, right, threshold, stage):
         from repro.ranking.native import sort_native
 
         return sort_native(result, ["a"])
+    if stage == "extend":
+        return extend(result, "e", EXTEND)
+    if stage == "rename":
+        return rename(result, RENAME)
     return window_native(result, WINDOW)
+
+
+def run_stage(plan, stage, threshold, *, projected=("a", "b")):
+    """One post-join stage of :data:`STAGES` on a :class:`ColumnarPlan`."""
+    if stage == "select":
+        return plan.select(attr("b").le(const(threshold)))
+    if stage == "project":
+        return plan.project(list(projected))
+    if stage == "narrow":
+        return plan.narrow(["b", "a"])
+    if stage == "groupby":
+        return plan.groupby_aggregate(["a"], GROUPBY_AGGREGATES)
+    if stage == "sort":
+        return plan.sort(["a"])
+    if stage == "extend":
+        return plan.extend("e", EXTEND)
+    if stage == "rename":
+        return plan.rename(RENAME)
+    return plan.window(WINDOW)
 
 
 def run_plans(left, right, threshold, stage):
@@ -102,22 +138,10 @@ def run_plans(left, right, threshold, stage):
         .select(attr("a").ge(const(threshold)))
         .join(columnar_right, on=["k"])
     )
-    results = []
-    for contender in (joined, ColumnarPlan(joined.columnar())):
-        if stage == "select":
-            staged = contender.select(attr("b").le(const(threshold)))
-        elif stage == "project":
-            staged = contender.project(["a", "b"])
-        elif stage == "narrow":
-            staged = contender.narrow(["b", "a"])
-        elif stage == "groupby":
-            staged = contender.groupby_aggregate(["a"], GROUPBY_AGGREGATES)
-        elif stage == "sort":
-            staged = contender.sort(["a"])
-        else:
-            staged = contender.window(WINDOW)
-        results.append(staged.to_rows())
-    return results
+    return [
+        run_stage(contender, stage, threshold).to_rows()
+        for contender in (joined, ColumnarPlan(joined.columnar()))
+    ]
 
 
 @SETTINGS
@@ -128,7 +152,7 @@ def run_plans(left, right, threshold, stage):
     stage=st.sampled_from(STAGES),
 )
 def test_factorised_chain_three_way(left, right, threshold, stage):
-    """Uncertain keys: the factorised join falls back automatically, bit for bit."""
+    """Uncertain keys: the range×range sweep keeps the pairs, bit for bit."""
     python_result = run_python(left, right, threshold, stage)
     paired_result, flat_result = run_plans(left, right, threshold, stage)
     assert_same_relation(python_result, paired_result)
@@ -192,6 +216,79 @@ def test_factorised_chain_sharded_matches_serial(stage):
     python_result = run_python(left, right, threshold, stage)
     for result in run_plans(left, right, threshold, stage):
         assert_same_relation(python_result, result)
+
+
+#: Last stages of the two-join chain; its output schema is
+#: ``(k, a, k_r, b, e, <third k>, c)``.
+FINAL_STAGES = ("select", "sort", "window")
+FINAL_WINDOW = WindowSpec(
+    function="sum", attribute="c", output="w", order_by=("e",), frame=(-1, 0)
+)
+
+
+@st.composite
+def keyed_relations(draw, *, attributes, certain_keys):
+    """``(k, payload)``: 0-4 rows, bags up to ``ub == 3``, certain or range keys."""
+    if certain_keys:
+        return draw(certain_key_relations(attributes=attributes, max_tuples=4))
+    return draw(au_relations(attributes=attributes, max_tuples=4, max_count=3))
+
+
+def python_two_joins(left, right, third, threshold, stage):
+    from repro.ranking.native import sort_native
+
+    result = select(left, attr("a").ge(const(threshold)))
+    result = extend(join(result, right, on=["k"]), "e", EXTEND)
+    result = join(result, third, on=["k"])
+    if stage == "select":
+        return select(result, attr("c").le(attr("e")))
+    if stage == "sort":
+        return sort_native(result, ["e", "c"])
+    return window_native(result, FINAL_WINDOW)
+
+
+def plan_two_joins(left, right, third, threshold, stage, *, flatten):
+    """The chain on :class:`ColumnarPlan`; ``flatten`` expands after each join."""
+
+    def joined(plan, other):
+        plan = plan.join(ColumnarPlan(other), on=["k"])
+        return ColumnarPlan(plan.columnar()) if flatten else plan
+
+    plan = ColumnarPlan(left).select(attr("a").ge(const(threshold)))
+    plan = joined(joined(plan, right).extend("e", EXTEND), third)
+    # Numeric keys always qualify for searchsorted or the sweep: no grid.
+    assert plan.factorised().is_flat == flatten
+    if stage == "select":
+        return plan.select(attr("c").le(attr("e"))).to_rows()
+    if stage == "sort":
+        return plan.sort(["e", "c"]).to_rows()
+    return plan.window(FINAL_WINDOW).to_rows()
+
+
+@SETTINGS
+@given(
+    certain_keys=st.booleans(),
+    data=st.data(),
+    threshold=st.integers(-2, 2),
+    stage=st.sampled_from(FINAL_STAGES),
+)
+def test_join_of_a_paired_input_three_way(certain_keys, data, threshold, stage):
+    """A join whose left input is paired, with an extend fragment, three ways.
+
+    The second join composes the first one's index vectors (``idx[rows]``)
+    and the identity vector of the extend's fragment; paired, flat after
+    each join and python must agree bit for bit.
+    """
+    left, right, third = (
+        data.draw(keyed_relations(attributes=("k", name), certain_keys=certain_keys))
+        for name in ("a", "b", "c")
+    )
+    python_result = python_two_joins(left, right, third, threshold, stage)
+    for flatten in (False, True):
+        assert_same_relation(
+            python_result,
+            plan_two_joins(left, right, third, threshold, stage, flatten=flatten),
+        )
 
 
 @SETTINGS
@@ -318,17 +415,6 @@ def test_carried_objects_match_the_arrays(stage, certain_keys, data, threshold):
         for method in ("auto", "grid")
     ]
     for contender in [joined, ColumnarPlan(joined.columnar())] + eager:
-        if stage == "select":
-            staged = contender.select(attr("b").le(const(threshold)))
-        elif stage == "project":
-            staged = contender.project(["a", "p", "q"])
-        elif stage == "narrow":
-            staged = contender.narrow(["b", "a"])
-        elif stage == "groupby":
-            staged = contender.groupby_aggregate(["a"], GROUPBY_AGGREGATES)
-        elif stage == "sort":
-            staged = contender.sort(["a"])
-        else:
-            staged = contender.window(WINDOW)
+        staged = run_stage(contender, stage, threshold, projected=("a", "p", "q"))
         result = staged.columnar()
         assert boundary_repr(result) == boundary_repr(without_objects(result))

@@ -36,6 +36,7 @@ from repro.core.operators import join
 from repro.core.ranges import RangeValue
 from repro.core.relation import AURelation
 from repro.core.schema import Schema
+from repro.errors import OperatorError
 from repro.ranking.native import sort_native
 from repro.ranking.semantics import sort_rewrite
 from repro.ranking.topk import topk
@@ -262,11 +263,7 @@ def pruning_relations(draw, *, kinds=("int", "float", "object", "nan")):
 
 
 def stage_rows(relation: ColumnarAURelation) -> list[str]:
-    """A stage result's rows in order, read off its arrays.
-
-    Builds no :class:`RangeValue`: a NaN lower bound in the order-by column
-    gives the full stage position ranges the row boundary rejects.
-    """
+    """A stage result's rows in order, read off its arrays (no :class:`RangeValue`)."""
     columns = [zip(c.lb.tolist(), c.sg.tolist(), c.ub.tolist()) for c in relation.columns]
     mults = zip(relation.mult_lb.tolist(), relation.mult_sg.tolist(), relation.mult_ub.tolist())
     return [repr(row) for row in zip(*columns, mults)]
@@ -282,20 +279,33 @@ def stage_rows(relation: ColumnarAURelation) -> list[str]:
 def test_topk_prefilter_matches_the_full_stage(drawn, order_by, k, descending):
     """``sort_stage(k=…)`` is the full stage filtered to ``pos.lb < k``, in order.
 
-    On NaN-free inputs it is also the native sweep's top-k, row for row.
+    It is also the native sweep's top-k, row for row.  A NaN bound in ``a``
+    raises the same :class:`OperatorError` from all three.
     """
     import numpy as np
 
     relation, holds_nan = drawn
     columnar = ColumnarAURelation.from_relation(relation)
+    if holds_nan:
+        errors = []
+        for run in (
+            lambda: sort_stage(columnar, order_by, k=k, descending=descending),
+            lambda: sort_stage(columnar, order_by, descending=descending),
+            lambda: sort_native(relation, order_by, k=k, descending=descending),
+        ):
+            with pytest.raises(OperatorError, match="NaN") as caught:
+                run()
+            errors.append(str(caught.value))
+        assert errors == [errors[0]] * 3
+        assert "'a'" in errors[0]
+        return
     pruned = sort_stage(columnar, order_by, k=k, descending=descending)
     full = sort_stage(columnar, order_by, descending=descending)
     assert pruned.schema == full.schema
     kept = np.flatnonzero(full.column("pos").lb < k)
     assert stage_rows(pruned) == stage_rows(full.take(kept))
-    if not holds_nan:
-        native = sort_native(relation, order_by, k=k, descending=descending)
-        assert_same_rows_in_order(native, pruned.to_relation())
+    native = sort_native(relation, order_by, k=k, descending=descending)
+    assert_same_rows_in_order(native, pruned.to_relation())
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,7 +1,7 @@
 """Unit tests for the factorised AU-relation layer.
 
-Structural checks the differential property suites cannot express: group
-layout after each pushdown operator, the pair-row allocation counter, error
+Structural checks the differential property suites cannot express: the
+flat / paired layout after each pushdown operator, the pair-row allocation counter, error
 parity with the eager kernels, and the plan-level guarantee that a
 ``select -> join -> select -> window`` chain never expands mid-chain.
 """
@@ -25,7 +25,7 @@ from repro.columnar.relation import ColumnarAURelation
 from repro.columnar.sort import sort_stage
 from repro.columnar.window import window_stage
 from repro.core.expressions import attr, const
-from repro.core.operators import join, select
+from repro.core.operators import cross, join, select
 from repro.core.ranges import RangeValue
 from repro.core.relation import AURelation
 from repro.errors import OperatorError, SchemaError, WindowSpecError
@@ -69,8 +69,8 @@ def assert_same(expected: AURelation, actual: AURelation) -> None:
 class TestRepresentation:
     def test_wrap_and_expand_roundtrip(self):
         fact = factorise(left_table())
-        assert len(fact.groups) == 1
-        assert fact.groups[0].is_simple
+        assert fact.is_flat
+        assert len(fact.fragments) == 1
         assert len(fact) == 4
         assert_same(left_table(), fact.to_relation())
 
@@ -98,12 +98,10 @@ class TestJoinLayout:
     def test_join_keeps_pair_index_layout(self):
         fact = fx.fact_join(factorise(left_table()), factorise(right_table()), on=["k"])
         assert isinstance(fact, FactorisedAURelation)
-        assert len(fact.groups) == 1
-        group = fact.groups[0]
-        assert not group.is_simple
+        assert not fact.is_flat
         # Both sides' fragments survive unexpanded behind int64 pair indices.
-        assert len(group.fragments) == 2
-        assert all(index.dtype == np.int64 for index in group.indices)
+        assert len(fact.fragments) == 2
+        assert all(index.dtype == np.int64 for index in fact.indices)
         assert_same(
             join(left_table(), right_table(), on=["k"]), fact.to_relation()
         )
@@ -132,18 +130,18 @@ class TestJoinLayout:
         assert isinstance(result, ColumnarAURelation)
         assert_same(join(obj_left, obj_right, on=["k"]), result.to_relation())
 
-    def test_cross_concatenates_groups(self):
-        fact = fx.fact_cross(factorise(left_table()), factorise(right_table()))
-        assert len(fact.groups) == 2
-        assert len(fact) == len(left_table()) * len(right_table())
+    def test_plan_cross_is_the_eager_product(self):
+        plan = ColumnarPlan(left_table()).cross(right_table())
+        assert plan.factorised().is_flat
+        assert_same(cross(left_table(), right_table()), plan.to_rows())
 
 
 class TestPushdown:
     def test_select_on_simple_group_filters_the_fragment(self):
         fact = fx.fact_select(factorise(left_table()), attr("a").ge(const(5)))
         assert isinstance(fact, FactorisedAURelation)
-        assert fact.groups[0].is_simple
-        assert len(fact.groups[0].fragments[0]) < len(left_table())
+        assert fact.is_flat
+        assert len(fact.fragments[0]) < len(left_table())
         assert_same(select(left_table(), attr("a").ge(const(5))), fact.to_relation())
 
     def test_select_after_join_keeps_pair_layout(self):
@@ -152,7 +150,7 @@ class TestPushdown:
         )
         fact = fx.fact_select(joined, attr("b").ge(const(0)))
         assert isinstance(fact, FactorisedAURelation)
-        assert not fact.groups[0].is_simple
+        assert not fact.is_flat
         eager = select(
             join(left_table(), right_table(), on=["k"]), attr("b").ge(const(0))
         )
@@ -250,7 +248,7 @@ class TestPlanIntegration:
         plan = self.chain(ColumnarPlan(left), right)
         fact = plan.factorised()
         assert isinstance(fact, FactorisedAURelation)
-        assert not fact.groups[0].is_simple  # still pairs, not a product table
+        assert not fact.is_flat  # still pairs, not an expanded table
 
     def test_chain_matches_python_backend(self):
         spec = WindowSpec(

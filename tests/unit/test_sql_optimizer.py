@@ -138,16 +138,30 @@ def certain_relation(rows):
 
 
 def test_prefer_kernel_joins_flips_method_and_anchors_certain_keys():
-    left = certain_relation([(0, 1, 2), (3, 4, 5)])
-    right = certain_relation([(0, 2, 2), (3, 3, 5)])
+    """Only the method flips: searchsorted anchors on the certain key ``c``
+    wherever it sits, so an uncertain first key keeps the query's order."""
     plan = L.Join(
         L.Scan("l", Schema(["c", "u", "v"])),
         L.Scan("r", Schema(["c", "u", "v"])),
         on=("u", "c"),
     )
-    rewritten = prefer_kernel_joins(plan, {"l": left, "r": right})
+    rewritten = prefer_kernel_joins(plan)
     assert rewritten.method == "auto"
-    assert rewritten.on == ("c", "u")  # certain key anchors first
+    assert rewritten.on == ("u", "c")
+
+    catalog = {
+        "l": certain_relation([(i % 7, i % 5, i) for i in range(40)]),
+        "r": certain_relation([(i % 7, i % 4, -i) for i in range(40)]),
+    }
+    query = "SELECT l.v AS lv, r.v AS rv FROM l JOIN r ON l.u = r.u AND l.c = r.c"
+    compiled = compile_sql(query, catalog)
+    (join,) = [node for node in L.walk(compiled.plan) if isinstance(node, L.Join)]
+    assert join.on == ("u", "c")
+    optimized = compiled.run()
+    assert compiled.join_kernels == ("searchsorted",)
+    unoptimized = compile_sql(query, catalog, optimize=False).run()
+    assert len(optimized) > 0
+    assert list(optimized._rows.items()) == list(unoptimized._rows.items())
 
 
 def test_optimize_plan_composes_all_rules():
